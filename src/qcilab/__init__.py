@@ -27,7 +27,6 @@ from .eigensolve import (
     JointEigenfunction,
     RadialOperator,
     assemble_operator,
-    eigenfunction_value,
     eigenpairs,
     load_modes,
     profile_hash,
@@ -40,13 +39,9 @@ from .geometry import (
     GeodesicError,
     ProfileError,
     ProfileFunction,
-    geodesic_point,
     latitude_arc,
-    latitude_arc_at,
     longitude_arc,
     make_profile,
-    t_to_theta,
-    theta_to_t,
 )
 from .lineintegral import (
     PanelCountError,
@@ -104,7 +99,6 @@ __all__ = [
     "JointEigenfunction",
     "RadialOperator",
     "assemble_operator",
-    "eigenfunction_value",
     "eigenpairs",
     "load_modes",
     "profile_hash",
@@ -115,13 +109,9 @@ __all__ = [
     "GeodesicError",
     "ProfileError",
     "ProfileFunction",
-    "geodesic_point",
     "latitude_arc",
-    "latitude_arc_at",
     "longitude_arc",
     "make_profile",
-    "t_to_theta",
-    "theta_to_t",
     "PanelCountError",
     "QuadratureSpec",
     "integrate_adaptive",

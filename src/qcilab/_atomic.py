@@ -1,0 +1,29 @@
+"""Crash-safe text file writes shared by the report and cache writers."""
+
+from __future__ import annotations
+
+import os
+import tempfile
+
+# mkstemp creates files 0600; published files get the usual 0666 & ~umask
+_UMASK = os.umask(0o022)
+os.umask(_UMASK)
+
+
+def _atomic_write(path: str, data: str):
+    """Write text to path through a unique temp file and one rename.
+
+    The temp file sits in the target directory, so concurrent writers never
+    share it and the rename stays on one file system. A failed write
+    removes it and leaves path as it was.
+    """
+    directory, name = os.path.split(path)
+    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
+    try:
+        with os.fdopen(fd, "w") as fh:
+            fh.write(data)
+        os.chmod(tmp, 0o666 & ~_UMASK)
+        os.replace(tmp, path)
+    except BaseException:
+        os.unlink(tmp)
+        raise

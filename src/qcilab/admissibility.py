@@ -13,12 +13,15 @@ xi-gradient). A vanishing infimum is exactly what disqualifies latitude
 arcs through the profile maximum, where the angular momentum is frozen
 along the flow.
 
-Fibers of the built-in metric Hamiltonian are ellipses
+Every fiber is sampled along one family of rays, the metric-coframe
+directions at equally spaced angles sigma:
 
-    xi_t = sqrt(E1) cos(sigma),   xi_phi = sqrt(E1) f(t) sin(sigma),
+    xi_t = r cos(sigma),   xi_phi = r f(t) sin(sigma).
 
-sampled at equally spaced angles. For user-supplied symbols the fiber is
-traced by root-finding along radial rays in the xi-plane.
+For the built-in metric Hamiltonian the radius is the closed form
+r = sqrt(E1), so the fiber is an ellipse; for user-supplied symbols r is
+root-found along the same rays. Fixed sigma therefore means the same
+phase point whichever way the symbol was given.
 """
 
 from __future__ import annotations
@@ -46,6 +49,8 @@ _FIBER_TOL = 1e-10
 _SCAN_RADII = np.geomspace(1e-8, 1e3, 221)
 # |grad_xi p1| must exceed this for real principal type
 _PRINCIPAL_TOL = 1e-6
+# fiber points per block of the walk along the arc
+_BLOCK = 1 << 14
 
 
 class FiberError(ValueError):
@@ -101,26 +106,15 @@ class AdmissibilityReport:
 # -- fiber sampling ----------------------------------------------------------
 
 
-def _builtin_fiber(map_: MomentMap, t, E1: float, sigmas):
-    """Ellipse points of the metric Hamiltonian fiber at height t."""
-    if E1 < 0.0:
-        raise FiberError(f"empty fiber: p1 >= 0 everywhere but E1 = {E1}")
-    root = np.sqrt(E1)
-    f = map_.surface.value(t)
-    xi_t = root * np.cos(sigmas) * np.ones_like(np.asarray(t, dtype=float))
-    xi_phi = root * f * np.sin(sigmas)
-    return xi_t, xi_phi
+def _dsl_fiber_radii(map_: MomentMap, t: float, phi: float, E1: float, cs, sn, seed):
+    """Radii r with p1(t, phi, r cs, r sn) = E1 along the rays (cs, sn).
 
-
-def _dsl_fiber_radii(map_: MomentMap, t: float, phi: float, E1: float, sigmas, seed=None):
-    """Radii r(sigma) with p1(t, phi, r cos sigma, r sin sigma) = E1.
-
-    Newton iteration from a seed when one is supplied (the previous tau
-    slice), otherwise a geometric bracket scan followed by bisection and
-    a Newton polish. Rays that never cross the level set come back NaN;
-    tangential touches are refined by local minimization of the residual.
+    Newton iteration from a seed when one is supplied (a neighbouring
+    fiber's radii), otherwise a geometric bracket scan followed by
+    bisection and a Newton polish. Rays that never cross the level set
+    come back NaN; tangential touches are refined by local minimization
+    of the residual.
     """
-    cs, sn = np.cos(sigmas), np.sin(sigmas)
 
     def g(r):
         return map_.p1(t, phi, r * cs, r * sn) - E1
@@ -130,7 +124,7 @@ def _dsl_fiber_radii(map_: MomentMap, t: float, phi: float, E1: float, sigmas, s
         out[mask] = map_.p1(t, phi, r[mask] * cs[mask], r[mask] * sn[mask]) - E1
         return out
 
-    n = len(sigmas)
+    n = len(cs)
     radii = np.full(n, np.nan)
 
     if seed is not None:
@@ -215,21 +209,54 @@ def _tangent_ray(map_, t, phi, E1, c, s, scan_vals):
     return r if absg(r) <= _FIBER_TOL else np.nan
 
 
-def _fiber_grid(map_: MomentMap, t: float, phi: float, E1: float, sigmas, seed=None):
-    """Covector components on the fiber over one base point.
+def _angles(n: int):
+    return 2.0 * np.pi * np.arange(n) / n
 
-    Returns (xi_t, xi_phi, radii) arrays; NaN entries mark rays that miss
-    the level set (possible only for DSL maps).
+
+def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, seeds=None, prev=None):
+    """Fibers over the base points (ts[i], phis[i]) along the coframe rays.
+
+    Returns (xi_t, xi_phi, radii), each of shape (len(ts), len(sigmas));
+    NaN entries mark rays that miss the level set (possible only for DSL
+    maps). The built-in p1 has the closed-form radius sqrt(E1). DSL rows
+    are Newton-seeded from seeds[i] when seeds is given, otherwise from
+    the previous row (prev for the first), so a walk along the arc
+    reuses each fiber for the next.
     """
+    cs, sn = np.cos(sigmas), np.sin(sigmas)
+    f = map_.surface.value(ts)[:, None]
     if map_.is_builtin_p1:
-        xi_t, xi_phi = _builtin_fiber(map_, t, E1, sigmas)
-        return xi_t, xi_phi, np.hypot(xi_t, xi_phi)
-    radii = _dsl_fiber_radii(map_, t, phi, E1, sigmas, seed=seed)
-    if not np.isfinite(radii).any():
-        raise FiberError(
-            f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
-        )
-    return radii * np.cos(sigmas), radii * np.sin(sigmas), radii
+        if E1 < 0.0:
+            raise FiberError(f"empty fiber: p1 >= 0 everywhere but E1 = {E1}")
+        radii = np.full((len(ts), len(sigmas)), np.sqrt(E1))
+    else:
+        radii = np.empty((len(ts), len(sigmas)))
+        for i in range(len(ts)):
+            seed = prev if seeds is None else seeds[i]
+            prev = _dsl_fiber_radii(map_, float(ts[i]), float(phis[i]), E1, cs, f[i] * sn, seed)
+            if not np.isfinite(prev).any():
+                raise FiberError(
+                    f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
+                )
+            radii[i] = prev
+    return radii * cs, radii * f * sn, radii
+
+
+def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
+    """Walk the arc in blocks of rows, yielding the fibers over geod(taus).
+
+    Yields (rows, t, phi, xi_t, xi_phi, radii) with rows a slice of taus;
+    a block holds about _BLOCK points, which bounds the memory of every
+    step that follows. DSL seeds chain from row to row across blocks.
+    """
+    step = max(1, _BLOCK // len(sigmas))
+    last = None
+    for start in range(0, len(taus), step):
+        rows = slice(start, start + step)
+        t, phi = geod.point(taus[rows], checked=False)
+        xi_t, xi_phi, radii = _fibers(map_, t, phi, E1, sigmas, prev=last)
+        last = radii[-1]
+        yield rows, t, phi, xi_t, xi_phi, radii
 
 
 def fiber_points(map_: MomentMap, x, E1: float, n: int):
@@ -247,9 +274,10 @@ def fiber_points(map_: MomentMap, x, E1: float, n: int):
     Returns
     -------
     list of (xi_t, xi_phi)
-        At n equally spaced ellipse angles for the built-in symbol;
-        by radial root-finding (|p1 - E1| <= 1e-10) for DSL symbols.
-        Rays that do not cross the level set are omitted.
+        The points r (cos sigma, f(t) sin sigma) at n equally spaced
+        angles sigma, with r = sqrt(E1) for the built-in symbol and
+        root-found (|p1 - E1| <= 1e-10) for DSL symbols. Rays that do
+        not cross the level set are omitted.
 
     Raises
     ------
@@ -258,40 +286,45 @@ def fiber_points(map_: MomentMap, x, E1: float, n: int):
     """
     if n < 4:
         raise ValueError("need at least 4 fiber angles")
-    t, phi = float(x[0]), float(x[1])
-    sigmas = 2.0 * np.pi * np.arange(n) / n
-    xi_t, xi_phi, _ = _fiber_grid(map_, t, phi, E1, sigmas)
-    keep = np.isfinite(xi_t) & np.isfinite(xi_phi)
-    return [(float(a), float(b)) for a, b in zip(xi_t[keep], xi_phi[keep])]
+    t, phi = np.array([float(x[0])]), np.array([float(x[1])])
+    xi_t, xi_phi, _ = _fibers(map_, t, phi, E1, _angles(n))
+    keep = np.isfinite(xi_t[0]) & np.isfinite(xi_phi[0])
+    return [(float(a), float(b)) for a, b in zip(xi_t[0][keep], xi_phi[0][keep])]
 
 
 # -- principal type -----------------------------------------------------------
 
 
-def _xi_gradient_norm(map_: MomentMap, t, phi, xi_t, xi_phi):
-    """|grad_xi p1| by central differences, step 1e-6 max(1, |xi|)."""
+def _principal_ok(map_: MomentMap, t, phi, xi_t, xi_phi) -> bool:
+    """True iff |grad_xi p1| > 1e-6 at every finite sampled point.
+
+    t and phi hold one base point per row of the (n_tau, n_fiber) fiber
+    arrays. The gradient is taken by central differences with step
+    1e-6 max(1, |xi|).
+    """
+    alive = np.isfinite(xi_t)
+    t = np.broadcast_to(t[:, None], xi_t.shape)[alive]
+    phi = np.broadcast_to(phi[:, None], xi_t.shape)[alive]
+    xi_t, xi_phi = xi_t[alive], xi_phi[alive]
     st = 1e-6 * np.maximum(1.0, np.abs(xi_t))
     sp = 1e-6 * np.maximum(1.0, np.abs(xi_phi))
     d_t = (map_.p1(t, phi, xi_t + st, xi_phi) - map_.p1(t, phi, xi_t - st, xi_phi)) / (2.0 * st)
     d_p = (map_.p1(t, phi, xi_t, xi_phi + sp) - map_.p1(t, phi, xi_t, xi_phi - sp)) / (2.0 * sp)
-    return np.hypot(d_t, d_p)
+    return bool(np.all(np.hypot(d_t, d_p) > _PRINCIPAL_TOL))
 
 
 def check_principal_type(map_: MomentMap, geod: Geodesic, E1: float, grid=(128, 128)) -> bool:
     """True iff |grad_xi p1| > 1e-6 at every sampled point of C_gamma."""
-    n_tau, n_fiber = int(grid[0]), int(grid[1])
-    taus = np.linspace(geod.param_range[0], geod.param_range[1], n_tau)
-    sigmas = 2.0 * np.pi * np.arange(n_fiber) / n_fiber
-    seed = None
-    for tau in taus:
-        t, phi = geod.point(float(tau), checked=False)
-        xi_t, xi_phi, radii = _fiber_grid(map_, float(t), float(phi), E1, sigmas, seed=seed)
-        seed = radii if not map_.is_builtin_p1 else None
-        alive = np.isfinite(xi_t)
-        norms = _xi_gradient_norm(map_, float(t), float(phi), xi_t[alive], xi_phi[alive])
-        if not np.all(norms > _PRINCIPAL_TOL):
-            return False
-    return True
+    taus = np.linspace(geod.param_range[0], geod.param_range[1], int(grid[0]))
+    blocks = _arc_fibers(map_, geod, E1, taus, _angles(int(grid[1])))
+    return all(_principal_ok(map_, t, phi, xt, xp) for _, t, phi, xt, xp, _ in blocks)
+
+
+def _p2(map_: MomentMap, t, phi, xi_t, xi_phi):
+    """p2 on fiber arrays, with one base point (t[i], phi[i]) per row."""
+    shape = xi_t.shape
+    t, phi = (np.broadcast_to(v[:, None], shape) for v in (t, phi))
+    return np.broadcast_to(map_.p2(t, phi, xi_t, xi_phi), shape)
 
 
 # -- the admissibility verdict -------------------------------------------------
@@ -333,36 +366,29 @@ def check_admissible(
 
     a, b = geod.param_range
     taus = np.linspace(a, b, n_tau)
-    sigmas = 2.0 * np.pi * np.arange(n_fiber) / n_fiber
+    sigmas = _angles(n_fiber)
+    E1 = energies.E1
 
-    builtin = map_.is_builtin_p1
+    def p2_near(at, radii):
+        """p2 on the fibers over geod(at), Newton-seeded from radii."""
+        t, phi = geod.point(at, checked=False)
+        xi_t, xi_phi, _ = _fibers(map_, t, phi, E1, sigmas, seeds=radii)
+        return _p2(map_, t, phi, xi_t, xi_phi)
 
-    p2_mid = np.full((n_tau, n_fiber), np.nan)
-    deriv = np.full((n_tau, n_fiber), np.nan)
-    points = np.full((n_tau, n_fiber, 4), np.nan)  # t, phi, xi_t, xi_phi
-
-    seed = None
-    for i, tau in enumerate(taus):
-        tau = float(tau)
-        delta = 1e-6 * max(1.0, abs(tau))
-        t_m, phi_m = (float(v) for v in geod.point(tau, checked=False))
-        t_lo, phi_lo = (float(v) for v in geod.point(tau - delta, checked=False))
-        t_hi, phi_hi = (float(v) for v in geod.point(tau + delta, checked=False))
-
-        xt, xp, radii = _fiber_grid(map_, t_m, phi_m, energies.E1, sigmas, seed=seed)
-        if not builtin:
-            seed = radii
-        xt_lo, xp_lo, _ = _fiber_grid(map_, t_lo, phi_lo, energies.E1, sigmas, seed=radii if not builtin else None)
-        xt_hi, xp_hi, _ = _fiber_grid(map_, t_hi, phi_hi, energies.E1, sigmas, seed=radii if not builtin else None)
-
-        p2_mid[i] = map_.p2(t_m, phi_m, xt, xp)
-        lo = map_.p2(t_lo, phi_lo, xt_lo, xp_lo)
-        hi = map_.p2(t_hi, phi_hi, xt_hi, xp_hi)
-        deriv[i] = (np.asarray(hi) - np.asarray(lo)) / (2.0 * delta)
-        points[i, :, 0] = t_m
-        points[i, :, 1] = phi_m
-        points[i, :, 2] = xt
-        points[i, :, 3] = xp
+    # one walk along the arc: the fibers at each tau, and at tau -+ delta
+    # seeded from them; base points and covectors are kept for the witness
+    t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
+    xt, xp = np.empty((n_tau, n_fiber)), np.empty((n_tau, n_fiber))
+    p2_mid, deriv = np.empty((n_tau, n_fiber)), np.empty((n_tau, n_fiber))
+    principal_ok = True
+    for rows, t, phi, xi_t, xi_phi, radii in _arc_fibers(map_, geod, E1, taus, sigmas):
+        tau = taus[rows]
+        delta = 1e-6 * np.maximum(1.0, np.abs(tau))
+        lo, hi = p2_near(tau - delta, radii), p2_near(tau + delta, radii)
+        deriv[rows] = (hi - lo) / (2.0 * delta[:, None])
+        p2_mid[rows] = _p2(map_, t, phi, xi_t, xi_phi)
+        principal_ok = principal_ok and _principal_ok(map_, t, phi, xi_t, xi_phi)
+        t_m[rows], phi_m[rows], xt[rows], xp[rows] = t, phi, xi_t, xi_phi
 
     alive = np.isfinite(p2_mid)
     if not alive.any():
@@ -378,7 +404,6 @@ def check_admissible(
     thr = float(threshold) if threshold is not None else 1e-3 * (scale if scale > 0.0 else 1.0)
 
     band = alive & (np.abs(p2_mid - energies.E2) < eps) & np.isfinite(deriv)
-    principal_ok = check_principal_type(map_, geod, energies.E1, grid)
 
     if not band.any():
         return AdmissibilityReport(
@@ -398,10 +423,10 @@ def check_admissible(
     witness = {
         "tau": float(taus[i]),
         "sigma": float(sigmas[j]),
-        "t": float(points[i, j, 0]),
-        "phi": float(points[i, j, 1]),
-        "xi_t": float(points[i, j, 2]),
-        "xi_phi": float(points[i, j, 3]),
+        "t": float(t_m[i]),
+        "phi": float(phi_m[i]),
+        "xi_t": float(xt[i, j]),
+        "xi_phi": float(xp[i, j]),
         "p2": float(p2_mid[i, j]),
         "derivative": float(deriv[i, j]),
     }

@@ -16,6 +16,7 @@ from __future__ import annotations
 
 import argparse
 import json
+import math
 import sys
 from importlib import resources
 
@@ -48,9 +49,15 @@ def _schema() -> dict:
 
 
 def load_config(path: str) -> dict:
+    def finite(text: str) -> float:
+        value = float(text)
+        if not math.isfinite(value):
+            raise ConfigError(f"config {path}: non-finite number {text} is not allowed")
+        return value
+
     try:
         with open(path) as fh:
-            cfg = json.load(fh)
+            cfg = json.load(fh, parse_float=finite, parse_constant=finite)
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
@@ -96,13 +103,14 @@ def _energies(cfg: dict) -> admissibility.EnergyPair:
     )
 
 
+# types of the quadrature keys; QuadratureSpec supplies the defaults
+_QUADRATURE_TYPES = {"nodes_per_panel": int, "panels_per_wavelength": float, "max_panels": int}
+
+
 def _quadrature(cfg: dict) -> QuadratureSpec:
     spec = cfg.get("quadrature", {})
-    return QuadratureSpec(
-        nodes_per_panel=int(spec.get("nodes_per_panel", 12)),
-        panels_per_wavelength=float(spec.get("panels_per_wavelength", 4.0)),
-        max_panels=int(spec.get("max_panels", 10**6)),
-    )
+    given = {key: cast(spec[key]) for key, cast in _QUADRATURE_TYPES.items() if key in spec}
+    return QuadratureSpec(**given)
 
 
 def _k_list(spec: dict) -> list[int]:
@@ -179,7 +187,6 @@ def cmd_sweep(args) -> int:
     spec = _need(cfg, "sweep")
     experiment = spec["experiment"]
     ks = _k_list(spec)
-    threads = max(1, args.threads)
 
     if experiment == "zonal-equator":
         profile = _profile(cfg) if "profile" in cfg else geometry.make_profile("sphere", [])
@@ -187,7 +194,7 @@ def cmd_sweep(args) -> int:
             arc = _geodesic(cfg, profile)
         else:
             arc = geometry.latitude_arc(profile, (0.0, np.pi / 3.0))
-        report = sweep.run_zonal_sweep(ks, arc, threads=threads)
+        report = sweep.run_zonal_sweep(ks, arc)
     elif experiment == "tesseral-caustic":
         profile = _profile(cfg) if "profile" in cfg else None
         report = sweep.run_tesseral_sweep(
@@ -196,14 +203,12 @@ def cmd_sweep(args) -> int:
             profile=profile,
             quadrature=_quadrature(cfg),
             side=spec.get("side", "forbidden"),
-            threads=threads,
         )
     elif experiment == "transition-peak":
         report = sweep.run_transition_peak_sweep(
             ks,
             width_scale=float(spec.get("width_scale", 1.0)),
             samples=int(spec.get("samples", 801)),
-            threads=threads,
         )
     else:
         raise ConfigError(
@@ -242,8 +247,6 @@ def _build_parser() -> argparse.ArgumentParser:
     common = argparse.ArgumentParser(add_help=False)
     common.add_argument("--config", help="path to the JSON experiment config")
     common.add_argument("--out", default=".", help="output directory (default: .)")
-    common.add_argument("--threads", type=int, default=1, help="worker threads for sweeps")
-    common.add_argument("--seed", type=int, default=None, help="reserved; accepted and ignored")
 
     parser = argparse.ArgumentParser(
         prog="qcilab",

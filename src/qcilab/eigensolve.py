@@ -37,6 +37,7 @@ import numpy as np
 from scipy.interpolate import CubicSpline
 from scipy.linalg import LinAlgError, eigh_tridiagonal
 
+from ._atomic import _atomic_write
 from .geometry import ProfileFunction
 
 __all__ = [
@@ -45,7 +46,6 @@ __all__ = [
     "assemble_operator",
     "eigenpairs",
     "solve_modes",
-    "eigenfunction_value",
     "save_modes",
     "load_modes",
     "solve_modes_cached",
@@ -219,11 +219,6 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     return modes
 
 
-def eigenfunction_value(u: JointEigenfunction, t, phi):
-    """Evaluate u at (t, phi): cubic radial interpolation times e^{ik phi}."""
-    return u.value(t, phi)
-
-
 # -- cache --------------------------------------------------------------------
 
 
@@ -233,13 +228,6 @@ def profile_hash(profile: ProfileFunction) -> str:
 
 def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str:
     return os.path.join(cache_dir, f"{profile_hash(profile)}_k{k}_N{N}")
-
-
-def _atomic_write(path: str, data: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def save_modes(modes, cache_dir: str) -> str:

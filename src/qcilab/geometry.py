@@ -14,9 +14,6 @@ Two geodesic arc kinds are supported: the latitude circle at t0 (the only
 latitude that is a geodesic) and longitude arcs at fixed phi. Both are
 produced with unit-speed parametrizations: arc length element f(t0) dphi
 on the latitude, dt on longitudes.
-
-Spherical-coordinate work elsewhere uses the colatitude theta with
-t = cos(theta); the conversion helpers live here.
 """
 
 from __future__ import annotations
@@ -34,9 +31,6 @@ __all__ = [
     "make_profile",
     "latitude_arc",
     "longitude_arc",
-    "geodesic_point",
-    "theta_to_t",
-    "t_to_theta",
 ]
 
 PROFILE_KINDS = ("sphere", "polynomial-perturbed")
@@ -300,15 +294,6 @@ def latitude_arc(profile: ProfileFunction, phi_range: tuple[float, float]) -> Ge
     )
 
 
-def latitude_arc_at(profile: ProfileFunction, t: float, phi_range) -> Geodesic:
-    """Latitude arc request at arbitrary t; rejected unless t = t0."""
-    if abs(t - profile.t0) > 1e-12:
-        raise GeodesicError(
-            f"latitude circle at t={t} is not a geodesic (t0={profile.t0})"
-        )
-    return latitude_arc(profile, phi_range)
-
-
 def longitude_arc(
     profile: ProfileFunction, t_range: tuple[float, float], phi0: float
 ) -> Geodesic:
@@ -330,26 +315,3 @@ def longitude_arc(
         start=a,
         length=b - a,
     )
-
-
-def geodesic_point(geod: Geodesic, tau: float):
-    """Point and unit tangent at parameter tau.
-
-    Returns
-    -------
-    (t, phi, tangent)
-        Coordinates in the (t, phi) chart and the constant unit tangent
-        vector (normalized by the metric: |dgamma/dtau|_g = 1).
-    """
-    t, phi = geod.point(tau, checked=True)
-    return float(t), float(phi), geod.tangent()
-
-
-def theta_to_t(theta):
-    """Colatitude to profile coordinate, t = cos(theta)."""
-    return np.cos(theta)
-
-
-def t_to_theta(t):
-    """Profile coordinate to colatitude, theta = arccos(t)."""
-    return np.arccos(t)

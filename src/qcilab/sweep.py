@@ -23,12 +23,12 @@ from __future__ import annotations
 import json
 import os
 import warnings
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import dataclass
 from typing import NamedTuple, Optional
 
 import numpy as np
 
+from ._atomic import _atomic_write
 from .geometry import Geodesic, ProfileFunction, longitude_arc, make_profile
 from .lineintegral import QuadratureSpec, integrate_restriction
 from .specfun import HarmonicIndex, assoc_legendre_norm, legendre_P0, turning_points
@@ -141,14 +141,7 @@ def _sorted_rows(rows):
     return tuple(sorted(rows, key=lambda r: -r.h))
 
 
-def _map_rows(fn, ks, threads: int):
-    if threads > 1:
-        with ThreadPoolExecutor(max_workers=threads) as pool:
-            return list(pool.map(fn, ks))
-    return [fn(k) for k in ks]
-
-
-def run_zonal_sweep(k_list, arc: Geodesic, threads: int = 1) -> SweepReport:
+def run_zonal_sweep(k_list, arc: Geodesic) -> SweepReport:
     """Equator integrals of zonal modes u_k = N_k^0(cos theta) e^{i0}.
 
     The integrand is the constant N_k^0(0) on the equator, so rows come
@@ -174,7 +167,7 @@ def run_zonal_sweep(k_list, arc: Geodesic, threads: int = 1) -> SweepReport:
         value = L * np.sqrt((2 * k + 1) / (4.0 * np.pi)) * legendre_P0(k)
         return SweepRow(k=k, l=k, h=idx.h, abs_I=abs(value), re_I=value, im_I=0.0)
 
-    rows = _sorted_rows(_map_rows(row, list(k_list), threads))
+    rows = _sorted_rows(row(k) for k in k_list)
     fit = _fit_rows(rows)
     return SweepReport(
         experiment="zonal-equator",
@@ -191,7 +184,6 @@ def run_tesseral_sweep(
     profile: Optional[ProfileFunction] = None,
     quadrature: QuadratureSpec = QuadratureSpec(),
     side: str = "forbidden",
-    threads: int = 1,
 ) -> SweepReport:
     """Longitude-arc integrals of the tesseral family l = 2k.
 
@@ -235,7 +227,7 @@ def run_tesseral_sweep(
             k=k, l=idx.l, h=idx.h, abs_I=abs(value), re_I=value.real, im_I=value.imag
         )
 
-    rows = _sorted_rows(_map_rows(row, list(k_list), threads))
+    rows = _sorted_rows(row(k) for k in k_list)
     fit = _fit_rows(rows)
     return SweepReport(
         experiment="tesseral-caustic",
@@ -249,7 +241,7 @@ def run_tesseral_sweep(
 
 
 def run_transition_peak_sweep(
-    k_list, width_scale: float = 1.0, samples: int = 801, threads: int = 1
+    k_list, width_scale: float = 1.0, samples: int = 801
 ) -> SweepReport:
     """Peak height of N_{2k}^k near the turning point.
 
@@ -271,7 +263,7 @@ def run_transition_peak_sweep(
             k=k, l=idx.l, h=idx.h, abs_I=float(abs(vals[j])), re_I=float(vals[j]), im_I=0.0
         )
 
-    rows = _sorted_rows(_map_rows(row, list(k_list), threads))
+    rows = _sorted_rows(row(k) for k in k_list)
     fit = _fit_rows(rows)
     return SweepReport(
         experiment="transition-peak",
@@ -283,13 +275,6 @@ def run_transition_peak_sweep(
 
 
 # -- persistence ----------------------------------------------------------------
-
-
-def _atomic_write(path: str, data: str):
-    tmp = path + ".tmp"
-    with open(tmp, "w") as fh:
-        fh.write(data)
-    os.replace(tmp, path)
 
 
 def _sidecar_path(csv_path: str) -> str:

@@ -196,7 +196,7 @@ def test_criterion_7_quadrature_self_consistency(sphere):
     )
 
 
-def test_criterion_8_dsl_equivalence(sphere, sphere_map):
+def test_criterion_8_dsl_equivalence(sphere, sphere_map, perturbed):
     parsed = moment_map_from_config(
         sphere, "xi_t^2 + xi_phi^2 / f(t)^2", "xi_phi"
     )
@@ -220,10 +220,31 @@ def test_criterion_8_dsl_equivalence(sphere, sphere_map):
         a = check_admissible(sphere_map, arc, EnergyPair(1.0, e2), grid=(64, 64))
         b = check_admissible(parsed, arc, EnergyPair(1.0, e2), grid=(64, 64))
         verdicts_ok = verdicts_ok and a.verdict == b.verdict
-    ok = values_ok and verdicts_ok
+        if arc.kind == "equator-latitude":
+            verdicts_ok = verdicts_ok and b.min_derivative <= 1e-8
+
+    # the rate itself, not only the verdict, must not depend on how the
+    # symbols were given: off-bump longitude on both reference profiles
+    worst_rate = 0.0
+    for profile in (sphere, perturbed):
+        arc = longitude_arc(profile, (0.3, 0.8), 0.0)
+        a = check_admissible(
+            builtin_moment_map(profile), arc, EnergyPair(1.0, 0.5), grid=(64, 64)
+        )
+        b = check_admissible(
+            moment_map_from_config(profile, "xi_t^2 + xi_phi^2 / f(t)^2", "xi_phi"),
+            arc,
+            EnergyPair(1.0, 0.5),
+            grid=(64, 64),
+        )
+        rel = abs(b.min_derivative - a.min_derivative) / a.min_derivative
+        worst_rate = max(worst_rate, rel)
+    rates_ok = worst_rate <= 1e-6
+    ok = values_ok and verdicts_ok and rates_ok
     _report(
         8,
         "symbol DSL equivalence",
         ok,
-        f"worst value gap {worst:.2e}, verdicts match: {verdicts_ok}",
+        f"worst value gap {worst:.2e}, verdicts match: {verdicts_ok}, "
+        f"worst off-bump rate gap {worst_rate:.2e}",
     )

@@ -46,25 +46,23 @@ class TestFiberPoints:
             fiber_points(sphere_map, (0.0, 0.0), 1.0, 3)
 
     def test_parsed_kinetic_symbol_traces_same_shell(self, sphere, sphere_map):
-        # builtin points sit at ellipse angles, parsed ones along polar rays;
-        # the sets differ pointwise but must cover the same level set
+        # builtin and parsed points both sit on the coframe rays
+        # (cos sigma, f(t) sin sigma), so they coincide angle by angle
         parsed = moment_map_from_config(
             sphere, "xi_t^2 + xi_phi^2 / f(t)^2", None
         )
         pts = fiber_points(parsed, (0.4, 0.0), 1.0, 16)
-        assert len(pts) == 16
+        builtin = fiber_points(sphere_map, (0.4, 0.0), 1.0, 16)
+        assert len(pts) == len(builtin) == 16
         f = sphere.value(0.4)
-        for i, (xt, xp) in enumerate(pts):
+        for i, ((xt, xp), ref) in enumerate(zip(pts, builtin)):
             sigma = 2 * np.pi * i / 16
-            # on the shell, and on its own ray
+            # on the shell, and on its own coframe ray
             assert xt**2 + xp**2 / f**2 == pytest.approx(1.0, abs=1e-10)
-            assert xt * np.sin(sigma) - xp * np.cos(sigma) == pytest.approx(
+            assert xt * f * np.sin(sigma) - xp * np.cos(sigma) == pytest.approx(
                 0.0, abs=1e-10
             )
-        # the axis rays agree with the builtin compass points exactly
-        builtin = fiber_points(sphere_map, (0.4, 0.0), 1.0, 16)
-        assert pts[0] == pytest.approx(builtin[0], abs=1e-10)
-        assert pts[4] == pytest.approx(builtin[4], abs=1e-10)
+            assert (xt, xp) == pytest.approx(ref, abs=1e-10)
 
     def test_rays_missing_the_level_set_are_dropped(self, sphere):
         # p1 = xi_t^2 never reaches 1 on the two vertical rays
@@ -94,6 +92,18 @@ class TestPrincipalType:
             sphere, "(xi_t^2 + xi_phi^2 - 1)^2", None
         )
         assert not check_principal_type(m, equator_arc, 0.0, grid=(32, 32))
+
+    @pytest.mark.parametrize(
+        "p1_text, E1", [(None, 1.0), ("(xi_t^2 + xi_phi^2 - 1)^2", 0.0)]
+    )
+    def test_matches_the_verdict_pass(
+        self, sphere, equator_arc, upper_longitude, p1_text, E1
+    ):
+        m = moment_map_from_config(sphere, p1_text, None)
+        for arc in (equator_arc, upper_longitude):
+            rep = check_admissible(m, arc, EnergyPair(E1, 0.5), grid=(32, 32))
+            ok = check_principal_type(m, arc, E1, grid=(32, 32))
+            assert ok is rep.principal_type_ok
 
 
 class TestCheckAdmissible:
@@ -181,6 +191,25 @@ class TestCheckAdmissible:
         assert abs(fine.min_derivative - coarse.min_derivative) <= (
             0.1 * coarse.min_derivative
         )
+
+    def test_walk_block_size_does_not_change_the_report(
+        self, perturbed, monkeypatch
+    ):
+        # the arc is walked in blocks of rows; one row per block is the
+        # plain per-tau walk, and DSL seeds must chain across blocks
+        import qcilab.admissibility as adm
+
+        arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
+        parsed = moment_map_from_config(
+            perturbed, "xi_t^2 + xi_phi^2 / f(t)^2", "xi_phi"
+        )
+        reports = []
+        for block in (adm._BLOCK, 1):
+            monkeypatch.setattr(adm, "_BLOCK", block)
+            for m in (builtin_moment_map(perturbed), parsed):
+                rep = check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(40, 600))
+                reports.append(rep.as_json())
+        assert reports[:2] == reports[2:]
 
     def test_dsl_verdicts_match_builtin(self, sphere, equator_arc, upper_longitude):
         builtin = builtin_moment_map(sphere)

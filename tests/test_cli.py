@@ -310,3 +310,28 @@ class TestConfigValidation:
         )
         assert cli.main(["admissible", "--config", cfg]) == 2
         assert "energies" in capsys.readouterr().err
+
+    @pytest.mark.parametrize("number", ["NaN", "Infinity", "-Infinity", "1e400"])
+    def test_non_finite_number_is_a_config_error(self, tmp_path, capsys, number):
+        # json accepts NaN and Infinity, and 1e400 overflows to inf
+        path = tmp_path / "nan.json"
+        path.write_text(
+            '{"profile": {"kind": "sphere"}, '
+            '"geodesic": {"kind": "longitude", "t_range": [0.3, 0.8]}, '
+            f'"energies": {{"E1": {number}, "E2": 0.5}}}}'
+        )
+        assert cli.main(["admissible", "--config", str(path)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and "non-finite" in err[0]
+
+    @pytest.mark.parametrize("flag", [["--threads", "2"], ["--seed", "1"]])
+    def test_removed_flags_are_unknown(self, tmp_path, capsys, flag):
+        cfg = write_config(
+            tmp_path,
+            "zonal.json",
+            {"sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]}},
+        )
+        with pytest.raises(SystemExit) as exc:
+            cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), *flag])
+        assert exc.value.code == 2
+        assert "unrecognized arguments" in capsys.readouterr().err

@@ -7,7 +7,6 @@ from qcilab import (
     HarmonicIndex,
     assemble_operator,
     assoc_legendre_norm,
-    eigenfunction_value,
     eigenpairs,
     load_modes,
     save_modes,
@@ -139,19 +138,19 @@ class TestJointEigenfunction:
         mode = modes[2]  # l = 4, k = 2
         ref = assoc_legendre_norm(4, 2, 0.0)
         sign = np.sign(mode.radial(0.0) / ref)
-        val = eigenfunction_value(mode, 0.0, 0.7)
+        val = mode.value(0.0, 0.7)
         expect = sign * ref * np.exp(2j * 0.7)
         assert val == pytest.approx(expect, abs=1e-8)
 
     def test_modulus_is_phi_invariant(self, sphere):
         mode = solve_modes(sphere, 5, 6, N=2048)[5]
-        vals = [abs(eigenfunction_value(mode, 0.2, p)) for p in (0.0, 1.1, 2.9)]
+        vals = [abs(mode.value(0.2, p)) for p in (0.0, 1.1, 2.9)]
         assert max(vals) - min(vals) <= 1e-14
 
     def test_zonal_mode_is_phi_independent(self, sphere):
         mode = solve_modes(sphere, 0, 3, N=1024)[2]
-        a = eigenfunction_value(mode, 0.3, 0.0)
-        b = eigenfunction_value(mode, 0.3, 2.0)
+        a = mode.value(0.3, 0.0)
+        b = mode.value(0.3, 2.0)
         assert a == b
         assert a.imag == 0.0
 

@@ -9,13 +9,9 @@ from qcilab import (
     GeodesicError,
     ProfileError,
     ProfileFunction,
-    geodesic_point,
     latitude_arc,
-    latitude_arc_at,
     longitude_arc,
     make_profile,
-    t_to_theta,
-    theta_to_t,
 )
 
 
@@ -80,15 +76,6 @@ class TestMakeProfile:
         assert np.max(np.abs(perturbed.derivative(t) - fd)) <= 1e-6
 
 
-class TestThetaChart:
-    def test_inverse_pair(self):
-        th = np.linspace(0.05, np.pi - 0.05, 101)
-        assert np.max(np.abs(t_to_theta(theta_to_t(th)) - th)) <= 1e-12
-
-    def test_equator_maps_to_zero(self):
-        assert theta_to_t(np.pi / 2) == pytest.approx(0.0, abs=1e-16)
-
-
 class TestLatitudeArc:
     def test_equator_arc_length(self, equator_arc):
         assert equator_arc.length == pytest.approx(np.pi / 3, abs=1e-14)
@@ -107,15 +94,6 @@ class TestLatitudeArc:
         with pytest.raises(GeodesicError):
             latitude_arc(sphere, (0.0, 2 * np.pi))
 
-    def test_off_bump_latitude_rejected(self, sphere):
-        # only the bump latitude is a geodesic
-        with pytest.raises(GeodesicError):
-            latitude_arc_at(sphere, 0.5, (0.0, 1.0))
-
-    def test_at_bump_accepted(self, sphere):
-        arc = latitude_arc_at(sphere, 0.0, (0.0, 1.0))
-        assert arc.length == pytest.approx(1.0, abs=1e-14)
-
 
 class TestLongitudeArc:
     def test_length_is_parameter_range(self, upper_longitude):
@@ -133,20 +111,22 @@ class TestLongitudeArc:
 class TestGeodesicPoint:
     def test_equator_start(self, sphere):
         arc = latitude_arc(sphere, (0.7, 0.7 + 1.0))
-        t, phi, tangent = geodesic_point(arc, 0.0)
+        t, phi = arc.point(0.0)
+        tangent = arc.tangent()
         assert t == 0.0
         assert phi == pytest.approx(0.7, abs=1e-14)
         assert tangent == pytest.approx((0.0, 1.0), abs=1e-14)
 
     def test_longitude_point(self, upper_longitude):
-        t, phi, tangent = geodesic_point(upper_longitude, 0.4)
+        t, phi = upper_longitude.point(0.4)
+        tangent = upper_longitude.tangent()
         assert t == pytest.approx(0.4, abs=1e-14)
         assert phi == 0.0
         assert tangent == pytest.approx((1.0, 0.0), abs=1e-14)
 
     def test_out_of_range_rejected(self, upper_longitude):
         with pytest.raises(GeodesicError):
-            geodesic_point(upper_longitude, 0.9)
+            upper_longitude.point(0.9)
 
     def test_unit_speed_in_the_metric(self, sphere, perturbed):
         # ds^2 = dt^2 + f(t)^2 dphi^2; speed along each arc must be exactly 1,

@@ -14,7 +14,6 @@ from qcilab import (
     legendre_P0,
     longitude_arc,
     solve_modes,
-    theta_to_t,
     turning_points,
 )
 
@@ -67,7 +66,7 @@ class TestIntegrateRestriction:
         idx = HarmonicIndex(400, 200)
         th0, _ = turning_points(idx)
         arc = longitude_arc(
-            sphere, (theta_to_t(th0), theta_to_t(th0 - 0.3)), 0.0
+            sphere, (np.cos(th0), np.cos(th0 - 0.3)), 0.0
         )
         u = lambda t, phi: assoc_legendre_norm(400, 200, t) * np.exp(200j * phi)
         coarse = integrate_restriction(u, arc, QuadratureSpec(), idx.h)
