@@ -6,7 +6,7 @@ computation) describes the surface, symbols, arc, energies, and
 experiment parameters. Exit codes are a scripting contract:
 
     0  success / admissible verdict
-    2  usage, config, or parse error
+    2  usage, config, or parse error; unreadable input or unwritable output
     3  not-admissible verdict
     4  empty band (or empty fiber) on the admissibility check
     5  degenerate decay fit (too few usable rows)
@@ -295,6 +295,7 @@ def main(argv=None) -> int:
         symbol_dsl.SymbolDomainError,
         PanelCountError,
         ValueError,
+        OSError,
     ) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG

@@ -30,12 +30,12 @@ from __future__ import annotations
 import hashlib
 import json
 import os
+import warnings
 from dataclasses import dataclass
+from functools import cached_property
 from typing import Optional
 
 import numpy as np
-from scipy.interpolate import CubicSpline
-from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from ._atomic import _atomic_write
 from .geometry import ProfileFunction
@@ -121,6 +121,8 @@ def eigenpairs(system: RadialOperator, count: int):
         raise ValueError("count must be positive")
     if count > system.size // 4:
         raise ValueError(f"count must be at most N/4 = {system.size // 4}")
+    from scipy.linalg import LinAlgError, eigh_tridiagonal
+
     try:
         lam, vec = eigh_tridiagonal(
             system.diag, system.offdiag, select="i", select_range=(0, count - 1)
@@ -151,6 +153,9 @@ class JointEigenfunction:
     radial_grid, radial_values : ndarray
         Samples of the radial factor w on the interior grid.
     profile : ProfileFunction
+
+    The cubic spline behind radial() and value() is built on the first
+    radial() call, so modes that are only listed never build one.
     """
 
     k: int
@@ -161,9 +166,11 @@ class JointEigenfunction:
     radial_values: np.ndarray
     profile: ProfileFunction
 
-    def __post_init__(self):
-        spline = CubicSpline(self.radial_grid, self.radial_values, extrapolate=True)
-        object.__setattr__(self, "_spline", spline)
+    @cached_property
+    def _spline(self):
+        from scipy.interpolate import CubicSpline
+
+        return CubicSpline(self.radial_grid, self.radial_values, extrapolate=True)
 
     def radial(self, t):
         """Radial factor w(t) by cubic interpolation; |t| <= 1."""
@@ -206,6 +213,7 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     coarse = assemble_operator(profile, k, N // 2)
     pairs_f = eigenpairs(fine, count)
     pairs_c = eigenpairs(coarse, count)
+    from scipy.interpolate import CubicSpline
 
     modes = []
     for i in range(count):
@@ -258,20 +266,35 @@ def save_modes(modes, cache_dir: str) -> str:
 
 
 def load_modes(profile: ProfileFunction, k: int, N: int, count: int, cache_dir: str):
-    """Load cached modes, or None when absent/insufficient."""
+    """Load cached modes, or None when the slot is absent, too small or corrupt.
+
+    A corrupt slot (unparsable meta.json or radial.csv, missing keys, or
+    arrays whose shape disagrees with N and count) reads as a miss, so
+    the caller solves again and rewrites it.
+    """
     slot = _cache_slot(cache_dir, profile, k, N)
     meta_path = os.path.join(slot, "meta.json")
     csv_path = os.path.join(slot, "radial.csv")
     if not (os.path.exists(meta_path) and os.path.exists(csv_path)):
         return None
-    with open(meta_path) as fh:
-        meta = json.load(fh)
-    if meta["count"] < count or meta["k"] != k or meta["N"] != N:
+    try:
+        with open(meta_path) as fh:
+            meta = json.load(fh)
+        if meta["count"] < count or meta["k"] != k or meta["N"] != N:
+            return None
+        eigenvalues = [float(lam) for lam in meta["eigenvalues"][:count]]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # an empty CSV warns, then fails the shape test
+            data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    except (ValueError, KeyError, TypeError):
         return None
-    data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
+    if len(eigenvalues) < count or data.ndim != 2:
+        return None
+    if data.shape[0] != N or data.shape[1] < count + 1:
+        return None
     grid = data[:, 0]
     return [
-        _make_mode(profile, k, i, meta["eigenvalues"][i], grid, data[:, i + 1])
+        _make_mode(profile, k, i, eigenvalues[i], grid, data[:, i + 1])
         for i in range(count)
     ]
 

@@ -14,7 +14,6 @@ from functools import lru_cache
 from math import ceil
 
 import numpy as np
-from scipy.special import roots_legendre
 
 from .geometry import Geodesic
 
@@ -68,6 +67,8 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=32)
 def _rule(n: int):
+    from scipy.special import roots_legendre
+
     return roots_legendre(n)
 
 

@@ -20,7 +20,6 @@ from math import exp, lgamma, log
 from typing import Optional
 
 import numpy as np
-from scipy.special import gammaln
 
 __all__ = [
     "HarmonicIndex",
@@ -120,6 +119,8 @@ def assoc_legendre_norm(l: int, k: int, x):
     x = np.atleast_1d(x)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("assoc_legendre_norm requires |x| <= 1")
+
+    from scipy.special import gammaln
 
     # sectoral seed: N_k^k = sqrt((2k+1)! / (2^{2k} (k!)^2 4pi)) (1-x^2)^{k/2}
     with np.errstate(divide="ignore"):

@@ -1,10 +1,14 @@
 """End-to-end runs of the command line interface."""
 
 import json
+import os
+import subprocess
+import sys
 
 import numpy as np
 import pytest
 
+import qcilab
 from qcilab import cli, load_report
 
 
@@ -128,6 +132,40 @@ class TestEigenCommand:
         )
         assert cli.main(["eigen", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    @pytest.mark.parametrize(
+        "name, corrupt",
+        [
+            ("radial.csv", lambda text: "garbage\n"),
+            ("meta.json", lambda text: text[: len(text) // 2]),
+            # two columns (t, mode_0) where meta.json promises three modes
+            ("radial.csv", lambda text: "".join(
+                ",".join(row.split(",")[:2]) + "\n" for row in text.splitlines()
+            )),
+        ],
+        ids=["garbage-csv", "truncated-meta", "too-few-columns"],
+    )
+    def test_corrupt_cache_slot_is_solved_again(self, tmp_path, capsys, name, corrupt):
+        cfg = write_config(
+            tmp_path,
+            "eigen.json",
+            {"profile": SPHERE, "eigen": {"k": 2, "count": 3, "N": 1024}},
+        )
+        argv = ["eigen", "--config", cfg, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        clean_out = capsys.readouterr().out
+        (slot,) = (tmp_path / "cache").iterdir()
+        clean = {p.name: p.read_bytes() for p in slot.iterdir()}
+        target = slot / name
+        target.write_text(corrupt(target.read_text()))
+
+        assert cli.main(argv) == 0
+        out, err = capsys.readouterr()
+        assert out == clean_out and err == ""
+        lams = [float(row.split()[1]) for row in out.strip().splitlines()[1:]]
+        for lam, expect in zip(lams, (6.0, 12.0, 20.0)):  # l(l+1) for l = 2, 3, 4
+            assert lam == pytest.approx(expect, abs=1e-6)
+        assert {p.name: p.read_bytes() for p in slot.iterdir()} == clean
+
 
 class TestIntegrateCommand:
     def test_zonal_value_matches_closed_form(self, tmp_path, capsys):
@@ -228,6 +266,18 @@ class TestSweepCommand:
             },
         )
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 5
+
+    def test_missing_out_directory_is_a_config_error(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "zonal.json",
+            {"sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]}},
+        )
+        missing = tmp_path / "no" / "such" / "dir"
+        assert cli.main(["sweep", "--config", cfg, "--out", str(missing)]) == 2
+        err = capsys.readouterr().err.strip().splitlines()
+        assert len(err) == 1 and err[0].startswith("error:")
+        assert not missing.exists()
 
     def test_custom_experiment_has_no_runner(self, tmp_path):
         cfg = write_config(
@@ -335,3 +385,93 @@ class TestConfigValidation:
             cli.main(["sweep", "--config", cfg, "--out", str(tmp_path), *flag])
         assert exc.value.code == 2
         assert "unrecognized arguments" in capsys.readouterr().err
+
+
+# The child interpreter runs main() on each argv in process and reports
+# which scipy modules it loaded; only a fresh interpreter shows that.
+_CHILD = """
+import contextlib, io, json, sys
+from qcilab.cli import main
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(io.StringIO()):
+    code = main(json.loads(sys.argv[1]))
+scipy = sorted(m for m in sys.modules if m.split(".")[0] == "scipy")
+print(json.dumps({"code": code, "scipy": scipy}))
+"""
+
+
+def _child_env():
+    src = os.path.dirname(os.path.dirname(qcilab.__file__))
+    env = dict(os.environ)
+    env["PYTHONPATH"] = os.pathsep.join(filter(None, [src, env.get("PYTHONPATH")]))
+    return env
+
+
+def _run_child(script, *argv):
+    done = subprocess.run(
+        [sys.executable, "-c", script, *argv],
+        capture_output=True,
+        text=True,
+        env=_child_env(),
+        check=True,
+    )
+    return json.loads(done.stdout)
+
+
+class TestScipyLoading:
+    def test_importing_the_cli_loads_no_scipy(self):
+        script = (
+            "import json, sys, qcilab.cli\n"
+            "print(json.dumps([m for m in sys.modules if m.split('.')[0] == 'scipy']))"
+        )
+        assert _run_child(script) == []
+
+    def _argv(self, tmp_path, command):
+        if command == "admissible":
+            cfg = admissible_config(
+                {"kind": "longitude", "t_range": [0.3, 0.8]}, {"E1": 1.0, "E2": 0.5}
+            )
+            return ["admissible", "--config", write_config(tmp_path, "a.json", cfg)]
+        if command == "schema-error":
+            cfg = write_config(tmp_path, "bad.json", {"profile": SPHERE, "bogus": 1})
+            return ["admissible", "--config", cfg]
+        if command == "plotdata":
+            cfg = write_config(
+                tmp_path,
+                "zonal.json",
+                {"sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]}},
+            )
+            assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+            return ["plotdata", str(tmp_path / "zonal-equator.csv")]
+        if command == "eigen-warm":
+            cfg = write_config(
+                tmp_path,
+                "eigen.json",
+                {"profile": SPHERE, "eigen": {"k": 1, "count": 2, "N": 1024}},
+            )
+            argv = ["eigen", "--config", cfg, "--out", str(tmp_path)]
+            assert cli.main(argv) == 0
+            return argv
+        raise AssertionError(command)
+
+    @pytest.mark.parametrize(
+        "command, code",
+        [("admissible", 0), ("schema-error", 2), ("plotdata", 0), ("eigen-warm", 0)],
+    )
+    def test_command_loads_no_scipy(self, tmp_path, capsys, command, code):
+        result = _run_child(_CHILD, json.dumps(self._argv(tmp_path, command)))
+        assert result == {"code": code, "scipy": []}
+
+    def test_integrate_loads_scipy_special_not_interpolate(self, tmp_path):
+        cfg = write_config(
+            tmp_path,
+            "single.json",
+            {
+                "profile": SPHERE,
+                "geodesic": {"kind": "equator-latitude", "phi_range": [0.0, 1.0]},
+                "integrate": {"l": 20, "k": 0},
+            },
+        )
+        result = _run_child(_CHILD, json.dumps(["integrate", "--config", cfg]))
+        assert result["code"] == 0
+        assert "scipy.special" in result["scipy"]
+        assert "scipy.interpolate" not in result["scipy"]

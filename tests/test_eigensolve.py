@@ -1,5 +1,7 @@
 """Radial discretization, joint modes, and the disk cache."""
 
+import json
+
 import numpy as np
 import pytest
 
@@ -159,6 +161,22 @@ class TestJointEigenfunction:
         with pytest.raises(ValueError):
             mode.radial(1.5)
 
+    def test_spline_is_built_on_first_radial_call(self, sphere):
+        mode = solve_modes(sphere, 1, 2, N=1024)[1]
+        assert "_spline" not in vars(mode)
+        mode.radial(0.25)
+        assert "_spline" in vars(mode)
+
+    def test_cached_mode_evaluates_bit_identically(self, sphere, tmp_path):
+        saved = solve_modes(sphere, 2, 3, N=1024)
+        save_modes(saved, str(tmp_path))
+        loaded = load_modes(sphere, 2, 1024, 3, str(tmp_path))
+        t = np.linspace(-1.0, 1.0, 257)  # reaches past the end nodes, into extrapolation
+        for a, b in zip(saved, loaded):
+            assert "_spline" not in vars(b)
+            assert a.radial(t).tobytes() == b.radial(t).tobytes()
+            assert a.value(t, 0.7).tobytes() == b.value(t, 0.7).tobytes()
+
 
 class TestModeCache:
     def test_round_trip_and_hit_flag(self, sphere, tmp_path):
@@ -187,5 +205,55 @@ class TestModeCache:
         loaded = load_modes(sphere, 2, 1024, 3, str(tmp_path))
         assert loaded is not None
         for a, b in zip(modes, loaded):
+            assert a.eigenvalue == b.eigenvalue
+            assert np.array_equal(a.radial_values, b.radial_values)
+
+
+def _meta(edit):
+    def apply(text):
+        meta = json.loads(text)
+        edit(meta)
+        return json.dumps(meta)
+
+    return apply
+
+
+def _rows(edit):
+    def apply(text):
+        lines = text.splitlines()
+        return "\n".join([lines[0]] + edit(lines[1:])) + "\n"
+
+    return apply
+
+
+# unparsable meta.json, a one-word radial.csv and too few columns are
+# covered end to end in test_cli
+_CORRUPTIONS = {
+    "meta-missing-key": ("meta.json", _meta(lambda m: m.pop("eigenvalues"))),
+    "meta-not-an-object": ("meta.json", lambda text: "[1, 2]"),
+    "meta-few-eigenvalues": ("meta.json", _meta(lambda m: m["eigenvalues"].pop())),
+    "csv-unparsable": ("radial.csv", lambda text: text.replace("0", "x", 5)),
+    "csv-one-row": ("radial.csv", _rows(lambda rows: rows[:1])),
+    "csv-one-column": ("radial.csv", _rows(lambda rows: [r.split(",")[0] for r in rows])),
+    "csv-short-rows": ("radial.csv", _rows(lambda rows: rows[:-1])),
+}
+
+
+class TestCorruptCacheSlot:
+    @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
+    def test_corrupt_slot_is_a_miss_and_is_rewritten(self, sphere, tmp_path, case):
+        name, edit = _CORRUPTIONS[case]
+        cache = str(tmp_path / "cache")
+        modes, _ = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
+        (slot,) = (tmp_path / "cache").iterdir()
+        target = slot / name
+        target.write_text(edit(target.read_text()))
+        assert load_modes(sphere, 1, 1024, 3, cache) is None
+
+        again, hit = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
+        assert not hit
+        reloaded = load_modes(sphere, 1, 1024, 3, cache)
+        assert reloaded is not None
+        for a, b in zip(modes, reloaded):
             assert a.eigenvalue == b.eigenvalue
             assert np.array_equal(a.radial_values, b.radial_values)
