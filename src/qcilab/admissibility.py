@@ -22,6 +22,14 @@ For the built-in metric Hamiltonian the radius is the closed form
 r = sqrt(E1), so the fiber is an ellipse; for user-supplied symbols r is
 root-found along the same rays. Fixed sigma therefore means the same
 phase point whichever way the symbol was given.
+
+User-supplied radii are root-found a block of rows at a time, every ray
+of the block in the same numpy calls: Newton steps seeded from the fiber
+one row up (the fibers at tau -+ delta from the fiber at tau), and where
+Newton misses, a geometric scan followed by bisection, or by a local
+refinement when the level set only touches the ray. The block solve
+gives the radii of the plain row-by-row walk bit for bit, so the block
+size bounds memory and never changes a report.
 """
 
 from __future__ import annotations
@@ -106,107 +114,208 @@ class AdmissibilityReport:
 # -- fiber sampling ----------------------------------------------------------
 
 
-def _dsl_fiber_radii(map_: MomentMap, t: float, phi: float, E1: float, cs, sn, seed):
-    """Radii r with p1(t, phi, r cs, r sn) = E1 along the rays (cs, sn).
+class _Rays:
+    """Rays r -> (r c, r s) over base points (t, phi), flat, one entry each."""
 
-    Newton iteration from a seed when one is supplied (a neighbouring
-    fiber's radii), otherwise a geometric bracket scan followed by
-    bisection and a Newton polish. Rays that never cross the level set
-    come back NaN; tangential touches are refined by local minimization
-    of the residual.
+    def __init__(self, map_: MomentMap, E1: float, t, phi, c, s):
+        self.map_, self.E1 = map_, E1
+        self.t, self.phi, self.c, self.s = t, phi, c, s
+
+    def __len__(self):
+        return len(self.c)
+
+    def __getitem__(self, idx) -> "_Rays":
+        return _Rays(self.map_, self.E1, self.t[idx], self.phi[idx], self.c[idx], self.s[idx])
+
+    def residual(self, r):
+        """p1 - E1 at radii r, whose last axis runs over the rays.
+
+        Read-only when p1 does not depend on xi: it is broadcast to r.
+        """
+        xi_t, xi_phi = r * self.c, r * self.s
+        return np.broadcast_to(self.map_.p1(self.t, self.phi, xi_t, xi_phi) - self.E1, xi_t.shape)
+
+
+def _newton(rays: _Rays, seed):
+    """Radii after 12 Newton steps from seed, NaN unless |p1 - E1| <= _FIBER_TOL.
+
+    Slopes are central differences. Rays with no usable seed (NaN or
+    <= 0) come back NaN. A ray whose step lands where it stands, or where
+    it stood one step before, would repeat itself to the 12th step, so it
+    leaves the iteration with the radius and residual of that step.
     """
+    r = np.where(np.isfinite(seed) & (seed > 0), seed, np.nan)
+    resid = np.full(len(r), np.nan)
+    live = np.flatnonzero(np.isfinite(r))
+    sub, here = rays[live], r[live]
+    back, g_back = here, resid[live]
+    for k in range(12):
+        if not live.size:
+            break
+        step = 1e-6 * np.maximum(1.0, np.abs(here))
+        g, g_hi, g_lo = sub.residual(np.stack([here, here + step, here - step]))
+        with np.errstate(divide="ignore", invalid="ignore"):
+            delta = g / ((g_hi - g_lo) / (2.0 * step))
+        there = np.maximum(here - np.where(np.isfinite(delta), delta, 0.0), 1e-12)
+        fixed = there == here
+        # in a 2-cycle the 12th step lands on `here` if 12 - k is even
+        cycle = ~fixed & (there == back)
+        to_back = cycle & (k % 2 == 1)
+        done = fixed | cycle
+        r[live[done]] = np.where(to_back, back, here)[done]
+        resid[live[done]] = np.where(to_back, g_back, g)[done]
+        go = ~done
+        live, sub = live[go], sub[go]
+        back, g_back, here = here[go], g[go], there[go]
+    if live.size:
+        r[live] = here
+        resid[live] = sub.residual(here)
+    return np.where(np.abs(resid) <= _FIBER_TOL, r, np.nan)
 
-    def g(r):
-        return map_.p1(t, phi, r * cs, r * sn) - E1
 
-    def g_at(r, mask):
-        out = np.full_like(r, np.nan)
-        out[mask] = map_.p1(t, phi, r[mask] * cs[mask], r[mask] * sn[mask]) - E1
-        return out
-
-    n = len(cs)
-    radii = np.full(n, np.nan)
-
-    if seed is not None:
-        r = np.where(np.isfinite(seed) & (seed > 0), seed, np.nan)
-        live = np.isfinite(r)
-        for _ in range(12):
-            if not live.any():
-                break
-            gv = g_at(r, live)
-            step = 1e-6 * np.maximum(1.0, np.abs(r))
-            dg = (g_at(r + step, live) - g_at(r - step, live)) / (2.0 * step)
-            with np.errstate(divide="ignore", invalid="ignore"):
-                delta = gv / dg
-            delta = np.where(np.isfinite(delta), delta, 0.0)
-            r = np.where(live, np.maximum(r - delta, 1e-12), r)
-        gv = g_at(r, live)
-        ok = live & (np.abs(gv) <= _FIBER_TOL)
-        radii[ok] = r[ok]
-        if ok.all():
-            return radii
-
-    todo = ~np.isfinite(radii)
-    if todo.any():
-        # scan along all unresolved rays at once: rows are radii
-        grid = _SCAN_RADII
-        vals = np.empty((len(grid), n))
-        vals[:] = np.nan
-        idx = np.nonzero(todo)[0]
-        for i, r0 in enumerate(grid):
-            vals[i, idx] = g(np.full(n, r0))[idx]
-        sign = np.sign(vals)
-        flip = (sign[:-1, :] * sign[1:, :] <= 0) & np.isfinite(vals[:-1, :]) & np.isfinite(vals[1:, :])
-        for j in idx:
-            rows = np.nonzero(flip[:, j])[0]
-            if len(rows):
-                lo, hi = grid[rows[0]], grid[rows[0] + 1]
-                radii[j] = _bisect_ray(map_, t, phi, E1, cs[j], sn[j], lo, hi)
-            else:
-                radii[j] = _tangent_ray(map_, t, phi, E1, cs[j], sn[j], vals[:, j])
+def _solve(rays: _Rays, seed):
+    """Newton from seed; rays it leaves NaN go to the radial scan."""
+    radii = _newton(rays, seed)
+    miss = np.flatnonzero(np.isnan(radii))
+    if miss.size:
+        radii[miss] = _scan(rays[miss])
     return radii
 
 
-def _bisect_ray(map_, t, phi, E1, c, s, lo, hi):
-    def g(r):
-        return map_.p1(t, phi, r * c, r * s) - E1
-
-    glo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        gm = g(mid)
-        if abs(gm) <= _FIBER_TOL:
-            return mid
-        if glo * gm < 0:
-            hi = mid
-        else:
-            lo, glo = mid, gm
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    r = 0.5 * (lo + hi)
-    return r if abs(g(r)) <= _FIBER_TOL else np.nan
+def _chunks(n_rays: int, n_samples: int):
+    """Slices of n_rays rays, n_samples radii per ray making about _BLOCK points a slice."""
+    width = max(1, _BLOCK // n_samples)
+    return [slice(a, a + width) for a in range(0, n_rays, width)]
 
 
-def _tangent_ray(map_, t, phi, E1, c, s, scan_vals):
-    """Ray with no sign change: refine the residual minimum locally."""
+def _scan(rays: _Rays):
+    """Radii of the level set along each ray, found from the geometric scan.
 
-    def absg(r):
-        return abs(map_.p1(t, phi, r * c, r * s) - E1)
+    A ray whose residual changes sign between two scan radii is bisected
+    on the first such bracket. A ray with no sign change is refined
+    around its smallest finite residual (a tangential touch). Rays that
+    never reach the level set come back NaN.
+    """
+    bracket = np.full(len(rays), -1)  # first sign change, -1 for none
+    nearest = np.full(len(rays), -1)  # smallest finite |residual|, -1 for none
+    for cols in _chunks(len(rays), len(_SCAN_RADII)):
+        vals = rays[cols].residual(_SCAN_RADII[:, None])
+        finite = np.isfinite(vals)
+        sign = np.sign(vals)
+        flip = (sign[:-1] * sign[1:] <= 0) & finite[:-1] & finite[1:]
+        bracket[cols] = np.where(flip.any(axis=0), np.argmax(flip, axis=0), -1)
+        near = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=0)
+        nearest[cols] = np.where(finite.any(axis=0), near, -1)
+    radii = np.full(len(rays), np.nan)
+    crossed = np.flatnonzero(bracket >= 0)
+    if crossed.size:
+        k = bracket[crossed]
+        radii[crossed] = _bisect(rays[crossed], _SCAN_RADII[k], _SCAN_RADII[k + 1])
+    touch = np.flatnonzero((bracket < 0) & (nearest >= 0))
+    for cols in _chunks(len(touch), 101):
+        radii[touch[cols]] = _tangent(rays[touch[cols]], nearest[touch[cols]])
+    return radii
 
-    finite = np.isfinite(scan_vals)
-    if not finite.any():
-        return np.nan
-    j = int(np.nanargmin(np.abs(scan_vals)))
-    lo = _SCAN_RADII[max(j - 1, 0)]
-    hi = _SCAN_RADII[min(j + 1, len(_SCAN_RADII) - 1)]
+
+def _bisect(rays: _Rays, lo, hi):
+    """Bisect each ray's bracket [lo, hi] of p1 - E1, all rays at once.
+
+    A ray stops at the first midpoint within _FIBER_TOL of the level set.
+    Otherwise it stops once its bracket is narrower than 1e-15 max(1, hi),
+    or after 200 halvings, and keeps its last midpoint if that meets the
+    tolerance (NaN if not). Each evaluation looks three halvings ahead:
+    it holds the 7 midpoints those halvings can reach.
+    """
+    radii = np.full(len(rays), np.nan)
+    g_lo = rays.residual(lo).copy()
+    live = np.arange(len(rays))
+    halvings = 0
+    while live.size and halvings < 200:
+        # the midpoints the next three halvings can reach: level d holds
+        # 2^d brackets, and bracket j splits into 2j (its lower half) and
+        # 2j + 1 (its upper half)
+        a, b, mids = lo[live][None], hi[live][None], []
+        for _ in range(3):
+            m = 0.5 * (a + b)
+            mids.append(m)
+            a = np.stack([a, m], axis=1).reshape(-1, len(live))
+            b = np.stack([m, b], axis=1).reshape(-1, len(live))
+        g_mids = np.split(rays[live].residual(np.concatenate(mids)), [1, 3])
+        j, going = np.zeros(len(live), dtype=int), np.ones(len(live), dtype=bool)
+        for d in range(min(3, 200 - halvings)):
+            i = np.flatnonzero(going)
+            k = live[i]
+            mid, g_mid = mids[d][j[i], i], g_mids[d][j[i], i]
+            hit = np.abs(g_mid) <= _FIBER_TOL
+            radii[k[hit]] = mid[hit]
+            below = g_lo[k] * g_mid < 0
+            hi[k] = np.where(below, mid, hi[k])
+            lo[k] = np.where(below, lo[k], mid)
+            g_lo[k] = np.where(below, g_lo[k], g_mid)
+            narrow = hi[k] - lo[k] < 1e-15 * np.maximum(1.0, hi[k])
+            going[i] = ~hit & ~narrow
+            j[i] = 2 * j[i] + ~below
+            halvings += 1
+        live = live[going]
+    rest = np.flatnonzero(np.isnan(radii))
+    if rest.size:
+        r = 0.5 * (lo[rest] + hi[rest])
+        radii[rest] = np.where(np.abs(rays[rest].residual(r)) <= _FIBER_TOL, r, np.nan)
+    return radii
+
+
+def _tangent(rays: _Rays, nearest):
+    """Rays with no sign change: refine the residual minimum locally.
+
+    Each ray starts from the scan radii either side of _SCAN_RADII[nearest]
+    and narrows that window five times over 101 even samples, all rays in
+    one evaluation per round.
+    """
+    cols = np.arange(len(rays))
+    top = len(_SCAN_RADII) - 1
+    lo = _SCAN_RADII[np.maximum(nearest - 1, 0)]
+    hi = _SCAN_RADII[np.minimum(nearest + 1, top)]
+    ramp = np.arange(101.0)[:, None]
     for _ in range(5):
-        rs = np.linspace(lo, hi, 101)
-        vals = np.array([absg(r) for r in rs])
-        i = int(np.argmin(vals))
-        lo = rs[max(i - 1, 0)]
-        hi = rs[min(i + 1, len(rs) - 1)]
+        # np.linspace(lo, hi, 101), column by column
+        rs = ramp * ((hi - lo) / 100) + lo
+        rs[-1] = hi
+        i = np.argmin(np.abs(rays.residual(rs)), axis=0)
+        lo, hi = rs[np.maximum(i - 1, 0), cols], rs[np.minimum(i + 1, 100), cols]
     r = 0.5 * (lo + hi)
-    return r if absg(r) <= _FIBER_TOL else np.nan
+    return np.where(np.abs(rays.residual(r)) <= _FIBER_TOL, r, np.nan)
+
+
+def _walk(rays: _Rays, prev, n: int):
+    """Radii of consecutive fibers of n rays, each seeded from the one before.
+
+    The result is the row-by-row walk exactly: every ray is solved by
+    _solve seeded from the same ray one fiber up, from prev for the first
+    fiber; with prev None the first fiber comes from the scan alone. All
+    fibers are first solved at once by Newton from prev. Then every ray
+    whose value is not _solve of its final ray above (Newton missed, or
+    its seed differs) is solved again from that ray, all of them at once,
+    round after round until no radius moves.
+    """
+    first = prev is None
+    if first:
+        prev = _solve(rays[:n], np.full(n, np.nan))
+        rays = rays[n:]
+    seed = np.tile(prev, len(rays) // n)
+    walk = np.concatenate([prev, _newton(rays, seed)])
+    # walk[k] sits below walk[k - n]
+    todo = n + np.flatnonzero(np.isnan(walk[n:]) | ~_same(walk[:-n], seed))
+    while todo.size:
+        old = walk[todo]
+        walk[todo] = _solve(rays[todo - n], walk[todo - n])
+        todo = todo[~_same(walk[todo], old)] + n
+        todo = todo[todo < len(walk)]
+    return walk if first else walk[n:]
+
+
+def _same(a, b):
+    """Elementwise a == b, with NaN equal to NaN."""
+    return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
 def _angles(n: int):
@@ -218,27 +327,34 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, seeds=None, prev=None)
 
     Returns (xi_t, xi_phi, radii), each of shape (len(ts), len(sigmas));
     NaN entries mark rays that miss the level set (possible only for DSL
-    maps). The built-in p1 has the closed-form radius sqrt(E1). DSL rows
-    are Newton-seeded from seeds[i] when seeds is given, otherwise from
-    the previous row (prev for the first), so a walk along the arc
-    reuses each fiber for the next.
+    maps). The built-in p1 has the closed-form radius sqrt(E1).
+
+    DSL rows are solved together, as one batch of rays. With seeds, row i
+    is Newton-seeded from seeds[i] (the fibers at tau -+ delta from those
+    at tau). Without, the rows are walked (_walk): each seeded from the row
+    before, the first from prev, the last fiber of the previous block; the
+    first row of an arc (prev None) comes from the scan. Rays Newton
+    cannot place go to the scan either way.
     """
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
+    shape = (len(ts), len(sigmas))
     if map_.is_builtin_p1:
         if E1 < 0.0:
             raise FiberError(f"empty fiber: p1 >= 0 everywhere but E1 = {E1}")
-        radii = np.full((len(ts), len(sigmas)), np.sqrt(E1))
+        radii = np.full(shape, np.sqrt(E1))
     else:
-        radii = np.empty((len(ts), len(sigmas)))
-        for i in range(len(ts)):
-            seed = prev if seeds is None else seeds[i]
-            prev = _dsl_fiber_radii(map_, float(ts[i]), float(phis[i]), E1, cs, f[i] * sn, seed)
-            if not np.isfinite(prev).any():
-                raise FiberError(
-                    f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
-                )
-            radii[i] = prev
+        n = len(sigmas)
+        t, phi = np.repeat(ts, n), np.repeat(phis, n)
+        rays = _Rays(map_, E1, t, phi, np.tile(cs, len(ts)), (f * sn).ravel())
+        if seeds is not None:
+            radii = _solve(rays, np.ravel(seeds)).reshape(shape)
+        else:
+            radii = _walk(rays, prev, n).reshape(shape)
+        if not np.isfinite(radii).any(axis=1).all():
+            raise FiberError(
+                f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
+            )
     return radii * cs, radii * f * sn, radii
 
 

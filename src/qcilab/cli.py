@@ -20,7 +20,6 @@ import math
 import sys
 from importlib import resources
 
-import jsonschema
 import numpy as np
 
 from . import admissibility, eigensolve, geometry, sweep, symbol_dsl
@@ -62,6 +61,10 @@ def load_config(path: str) -> dict:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
+    # imported here, not at module level, so commands that read no config
+    # (plotdata) do not pay for it
+    import jsonschema
+
     try:
         jsonschema.validate(cfg, _schema())
     except jsonschema.ValidationError as exc:

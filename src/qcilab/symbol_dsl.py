@@ -14,14 +14,17 @@ the surface profile and fp its derivative, so symbols can reference the
 metric without hardcoding a profile.
 
 Error positions are reported as 1-based byte offsets into the source
-string. Expressions evaluate on scalars or numpy arrays alike.
+string. compile_expr turns an AST into one numpy function, once; it
+evaluates on scalars or numpy arrays alike, and eval_expr is a one-off
+call of it.
 """
 
 from __future__ import annotations
 
 import re
 from dataclasses import dataclass
-from typing import Callable, Optional, Union
+from functools import cached_property
+from typing import Optional, Union
 
 import numpy as np
 
@@ -33,6 +36,7 @@ __all__ = [
     "SymbolDomainError",
     "parse_expr",
     "format_expr",
+    "compile_expr",
     "eval_expr",
     "MomentMap",
     "builtin_moment_map",
@@ -265,6 +269,82 @@ def format_expr(node: Expr) -> str:
 # -- evaluation ---------------------------------------------------------------
 
 
+def compile_expr(node: Expr, profile: ProfileFunction):
+    """Compile an AST once into a numpy function fn(t, phi, xi_t, xi_phi).
+
+    Each node becomes one closure, so evaluating the result walks no tree
+    and makes one numpy call per operator. Arguments may be scalars or
+    arrays that broadcast together; omitted ones are 0.0. Calling fn
+    raises SymbolDomainError on division by zero, sqrt of a negative, or
+    f/fp without a profile, naming the offending sub-expression.
+    """
+    fn = _compile(node, profile)
+
+    def evaluate(t=0.0, phi=0.0, xi_t=0.0, xi_phi=0.0):
+        return fn((t, phi, xi_t, xi_phi))
+
+    return evaluate
+
+
+def _compile(node: Expr, profile: ProfileFunction):
+    """Closure env -> value for one node; env is (t, phi, xi_t, xi_phi)."""
+    if isinstance(node, Num):
+        value = node.value
+        return lambda env: value
+    if isinstance(node, Var):
+        slot = VARIABLES.index(node.name)
+        return lambda env: env[slot]
+    if isinstance(node, Neg):
+        operand = _compile(node.operand, profile)
+        return lambda env: -operand(env)
+    if isinstance(node, Pow):
+        base, exponent = _compile(node.base, profile), node.exponent
+        return lambda env: base(env) ** exponent
+    if isinstance(node, BinOp):
+        left, right = _compile(node.left, profile), _compile(node.right, profile)
+        if node.op == "+":
+            return lambda env: left(env) + right(env)
+        if node.op == "-":
+            return lambda env: left(env) - right(env)
+        if node.op == "*":
+            return lambda env: left(env) * right(env)
+        message = f"division by zero in '{format_expr(node)}'"
+
+        def divide(env):
+            a, b = left(env), right(env)
+            if np.any(np.asarray(b) == 0.0):
+                raise SymbolDomainError(message)
+            return a / b
+
+        return divide
+    if isinstance(node, Call):
+        arg = _compile(node.arg, profile)
+        if node.func in ("sin", "cos", "abs"):
+            ufunc = {"sin": np.sin, "cos": np.cos, "abs": np.abs}[node.func]
+            return lambda env: ufunc(arg(env))
+        if node.func == "sqrt":
+            message = f"sqrt of negative value in '{format_expr(node)}'"
+
+            def sqrt(env):
+                x = arg(env)
+                if np.any(np.asarray(x) < 0.0):
+                    raise SymbolDomainError(message)
+                return np.sqrt(x)
+
+            return sqrt
+        if profile is None:
+            message = f"'{node.func}' needs a surface profile in '{format_expr(node)}'"
+
+            def unavailable(env):
+                arg(env)
+                raise SymbolDomainError(message)
+
+            return unavailable
+        curve = profile.value if node.func == "f" else profile.derivative
+        return lambda env: curve(arg(env))
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 def eval_expr(node: Expr, env: dict, profile: ProfileFunction):
     """Evaluate an AST on an environment of scalars or numpy arrays.
 
@@ -282,51 +362,7 @@ def eval_expr(node: Expr, env: dict, profile: ProfileFunction):
         On division by zero or sqrt of a negative, naming the offending
         sub-expression.
     """
-    if isinstance(node, Num):
-        return node.value
-    if isinstance(node, Var):
-        return env.get(node.name, 0.0)
-    if isinstance(node, Neg):
-        return -eval_expr(node.operand, env, profile)
-    if isinstance(node, Pow):
-        base = eval_expr(node.base, env, profile)
-        return base ** node.exponent
-    if isinstance(node, BinOp):
-        a = eval_expr(node.left, env, profile)
-        b = eval_expr(node.right, env, profile)
-        if node.op == "+":
-            return a + b
-        if node.op == "-":
-            return a - b
-        if node.op == "*":
-            return a * b
-        if np.any(np.asarray(b) == 0.0):
-            raise SymbolDomainError(f"division by zero in '{format_expr(node)}'")
-        return a / b
-    if isinstance(node, Call):
-        arg = eval_expr(node.arg, env, profile)
-        if node.func == "sin":
-            return np.sin(arg)
-        if node.func == "cos":
-            return np.cos(arg)
-        if node.func == "abs":
-            return np.abs(arg)
-        if node.func == "sqrt":
-            if np.any(np.asarray(arg) < 0.0):
-                raise SymbolDomainError(
-                    f"sqrt of negative value in '{format_expr(node)}'"
-                )
-            return np.sqrt(arg)
-        if node.func in ("f", "fp"):
-            if profile is None:
-                raise SymbolDomainError(
-                    f"'{node.func}' needs a surface profile in "
-                    f"'{format_expr(node)}'"
-                )
-            if node.func == "f":
-                return profile.value(arg)
-            return profile.derivative(arg)
-    raise TypeError(f"not an expression node: {node!r}")
+    return compile_expr(node, profile)(*(env.get(name, 0.0) for name in VARIABLES))
 
 
 # -- moment maps ---------------------------------------------------------------
@@ -338,12 +374,21 @@ class MomentMap:
 
     When an expression slot is None the corresponding builtin closed form
     is used: p1 = xi_t^2 + xi_phi^2 / f(t)^2 (metric Hamiltonian) and
-    p2 = xi_phi (angular momentum). Overrides are DSL expressions.
+    p2 = xi_phi (angular momentum). Overrides are DSL expressions, each
+    compiled once (compile_expr) on its first evaluation.
     """
 
     surface: ProfileFunction
     p1_expr: Optional[Expr] = None
     p2_expr: Optional[Expr] = None
+
+    @cached_property
+    def _p1(self):
+        return compile_expr(self.p1_expr, self.surface)
+
+    @cached_property
+    def _p2(self):
+        return compile_expr(self.p2_expr, self.surface)
 
     @property
     def is_builtin_p1(self) -> bool:
@@ -357,14 +402,12 @@ class MomentMap:
         if self.p1_expr is None:
             fsq = self.surface.sq(t)
             return xi_t * xi_t + xi_phi * xi_phi / fsq
-        env = {"t": t, "phi": phi, "xi_t": xi_t, "xi_phi": xi_phi}
-        return eval_expr(self.p1_expr, env, self.surface)
+        return self._p1(t, phi, xi_t, xi_phi)
 
     def p2(self, t, phi, xi_t, xi_phi):
         if self.p2_expr is None:
             return xi_phi if np.ndim(xi_phi) else float(xi_phi)
-        env = {"t": t, "phi": phi, "xi_t": xi_t, "xi_phi": xi_phi}
-        return eval_expr(self.p2_expr, env, self.surface)
+        return self._p2(t, phi, xi_t, xi_phi)
 
 
 def builtin_moment_map(profile: ProfileFunction) -> MomentMap:

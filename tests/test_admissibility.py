@@ -4,8 +4,11 @@ import numpy as np
 import pytest
 
 from qcilab import (
+    BUILTIN_P1_TEXT,
+    BUILTIN_P2_TEXT,
     EnergyPair,
     FiberError,
+    MomentMap,
     builtin_moment_map,
     check_admissible,
     check_principal_type,
@@ -81,6 +84,60 @@ class TestFiberPoints:
         assert len(pts) == 8
         for xt, xp in pts:
             assert m.p1(0.0, 0.0, xt, xp) <= 1e-10
+
+
+def _bisect_one(g, lo, hi):
+    """Reference: the bisection of one ray, as a plain loop."""
+    g_lo = g(lo)
+    for _ in range(200):
+        mid = 0.5 * (lo + hi)
+        g_mid = g(mid)
+        if abs(g_mid) <= 1e-10:
+            return mid
+        if g_lo * g_mid < 0:
+            hi = mid
+        else:
+            lo, g_lo = mid, g_mid
+        if hi - lo < 1e-15 * max(1.0, hi):
+            break
+    r = 0.5 * (lo + hi)
+    return r if abs(g(r)) <= 1e-10 else np.nan
+
+
+class TestBisection:
+    @pytest.mark.parametrize(
+        "p1_text, placed",
+        [
+            ("xi_t^2 + xi_phi^2 / f(t)^2", True),
+            # so steep that one ulp of radius moves p1 by more than the
+            # tolerance: every bracket narrows to nothing, every ray is NaN
+            ("1e12 * (xi_t - 0.3) + xi_phi", False),
+            # a triple root, where |p1 - 1| is small on a wide interval
+            ("(xi_t - 0.5)^3 + 1", True),
+        ],
+    )
+    def test_all_rays_at_once_equal_the_ray_by_ray_loop(
+        self, perturbed, p1_text, placed
+    ):
+        import qcilab.admissibility as adm
+
+        m = moment_map_from_config(perturbed, p1_text, None)
+        rng = np.random.default_rng(3)
+        n = 64
+        t = rng.uniform(-0.8, 0.8, n)
+        sigma = rng.uniform(0.0, 2.0 * np.pi, n)
+        c, s = np.cos(sigma), perturbed.value(t) * np.sin(sigma)
+        rays = adm._Rays(m, 1.0, t, rng.uniform(0.0, 6.0, n), c, s)
+        lo, hi = rng.uniform(1e-3, 0.5, n), rng.uniform(0.5, 40.0, n)
+        got = adm._bisect(rays, lo.copy(), hi.copy())
+
+        def one_ray(j):
+            ray = rays[[j]]
+            return _bisect_one(lambda r: float(ray.residual(np.array([r]))[0]), lo[j], hi[j])
+
+        # NaN matches NaN here
+        np.testing.assert_array_equal(got, [one_ray(j) for j in range(n)])
+        assert bool(np.isfinite(got).any()) is placed
 
 
 class TestPrincipalType:
@@ -210,6 +267,91 @@ class TestCheckAdmissible:
                 rep = check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(40, 600))
                 reports.append(rep.as_json())
         assert reports[:2] == reports[2:]
+
+    @pytest.mark.parametrize(
+        "p1_text, E1, on_equator",
+        [
+            # the fiber radius changes from row to row along the arc
+            ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", 1.0, False),
+            # the two vertical rays never meet the level set
+            ("xi_t^2", 1.0, False),
+            # a double root: Newton converges linearly, so every row's
+            # radius depends on the seed it was walked from
+            ("(xi_t^2 + xi_phi^2 - 1)^2", 0.0, True),
+        ],
+    )
+    def test_block_solve_equals_the_row_by_row_walk(
+        self, perturbed, equator_arc, monkeypatch, p1_text, E1, on_equator
+    ):
+        # one row per block is the plain per-tau walk, every ray seeded
+        # from the row before; solving whole blocks must give its bits
+        import qcilab.admissibility as adm
+
+        if on_equator:
+            arc, profile = equator_arc, equator_arc.surface
+        else:
+            arc, profile = longitude_arc(perturbed, (0.3, 0.8), 1.0), perturbed
+        m = moment_map_from_config(profile, p1_text, "xi_phi")
+        reports = []
+        for block in (adm._BLOCK, 1):
+            monkeypatch.setattr(adm, "_BLOCK", block)
+            rep = check_admissible(m, arc, EnergyPair(E1, 0.5), grid=(48, 48))
+            reports.append(rep.as_json())
+        assert reports[0] == reports[1]
+        assert reports[0]["witness"] is not None
+
+    @pytest.mark.parametrize("E1", [1.0, 2.0])
+    @pytest.mark.parametrize(
+        "plain, with_xi", [("2", "xi_t - xi_t + 2"), ("phi", "phi + 0 * xi_phi")]
+    )
+    def test_symbol_without_xi_reads_like_one_with(self, perturbed, E1, plain, with_xi):
+        # a p1 that never mentions xi is constant along each ray: the same
+        # report (or the same empty fiber) as a spelling that mentions it
+        arc = longitude_arc(perturbed, (0.3, 0.8), 2.0)
+
+        def outcome(text):
+            m = moment_map_from_config(perturbed, text, None)
+            try:
+                return check_admissible(m, arc, EnergyPair(E1, 0.5), grid=(32, 32)).as_json()
+            except FiberError as exc:
+                return str(exc)
+
+        assert outcome(plain) == outcome(with_xi)
+
+    def test_dsl_fibers_are_solved_a_block_at_a_time(self, perturbed):
+        # p1 sees whole blocks of rays: a few calls per row at most, where
+        # a walk ray by ray makes hundreds
+        sizes = []
+
+        class Counting(MomentMap):
+            def p1(self, t, phi, xi_t, xi_phi):
+                sizes.append(np.size(xi_t))
+                return MomentMap.p1(self, t, phi, xi_t, xi_phi)
+
+        parsed = moment_map_from_config(perturbed, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
+        m = Counting(surface=perturbed, p1_expr=parsed.p1_expr, p2_expr=parsed.p2_expr)
+        arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
+        check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(128, 128))
+        assert len(sizes) < 3 * 128
+        assert max(sizes) >= 3 * 127 * 128
+
+    @pytest.mark.parametrize("profile_name", ["sphere", "perturbed"])
+    @pytest.mark.parametrize("dsl", [False, True])
+    def test_witness_derivative_matches_the_closed_form(
+        self, request, profile_name, dsl
+    ):
+        # on a unit-speed longitude p2 = sqrt(E1) f(tau) sin(sigma) at
+        # fixed sigma, so d p2/d tau = sqrt(E1) f'(t) sin(sigma)
+        profile = request.getfixturevalue(profile_name)
+        arc = longitude_arc(profile, (0.3, 0.8), 0.7)
+        if dsl:
+            m = moment_map_from_config(profile, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
+        else:
+            m = builtin_moment_map(profile)
+        for E1, E2 in ((1.0, 0.5), (1.21, -0.45)):
+            w = check_admissible(m, arc, EnergyPair(E1, E2), grid=(96, 96)).witness
+            exact = np.sqrt(E1) * profile.derivative(w["t"]) * np.sin(w["sigma"])
+            assert w["derivative"] == pytest.approx(exact, rel=1e-7)
 
     def test_dsl_verdicts_match_builtin(self, sphere, equator_arc, upper_longitude):
         builtin = builtin_moment_map(sphere)

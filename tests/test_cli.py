@@ -85,6 +85,39 @@ class TestAdmissibleCommand:
         assert code == 0
         assert json.loads(capsys.readouterr().out)["verdict"] == "admissible"
 
+    @pytest.mark.parametrize(
+        "p1, error",
+        [
+            (
+                "xi_t^2 + xi_phi^2 / (xi_t - xi_t)",
+                "division by zero in 'xi_phi^2 / (xi_t - xi_t)'",
+            ),
+            ("xi_t^2 + sqrt(xi_phi - 10)", "sqrt of negative value in 'sqrt(xi_phi - 10)'"),
+        ],
+    )
+    def test_domain_error_is_a_config_error(self, tmp_path, capsys, p1, error):
+        payload = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]},
+            {"E1": 1.0, "E2": 0.5},
+        )
+        payload["p1"] = p1
+        cfg = write_config(tmp_path, "domain.json", payload)
+        assert cli.main(["admissible", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+
+    def test_symbol_without_xi_exits_empty_fiber(self, tmp_path, capsys):
+        payload = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]},
+            {"E1": 1.0, "E2": 0.5},
+        )
+        payload["p1"] = "t^2 + 2"
+        cfg = write_config(tmp_path, "flat.json", payload)
+        assert cli.main(["admissible", "--config", cfg]) == 4
+        err = capsys.readouterr().err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: empty fiber")
+
     def test_syntax_error_is_a_config_error(self, tmp_path, capsys):
         payload = admissible_config(
             {"kind": "longitude", "t_range": [0.3, 0.8]},
@@ -417,6 +450,35 @@ def _run_child(script, *argv):
     return json.loads(done.stdout)
 
 
+def _child_argv(tmp_path, command):
+    if command == "admissible":
+        cfg = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]}, {"E1": 1.0, "E2": 0.5}
+        )
+        return ["admissible", "--config", write_config(tmp_path, "a.json", cfg)]
+    if command == "schema-error":
+        cfg = write_config(tmp_path, "bad.json", {"profile": SPHERE, "bogus": 1})
+        return ["admissible", "--config", cfg]
+    if command == "plotdata":
+        cfg = write_config(
+            tmp_path,
+            "zonal.json",
+            {"sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]}},
+        )
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        return ["plotdata", str(tmp_path / "zonal-equator.csv")]
+    if command == "eigen-warm":
+        cfg = write_config(
+            tmp_path,
+            "eigen.json",
+            {"profile": SPHERE, "eigen": {"k": 1, "count": 2, "N": 1024}},
+        )
+        argv = ["eigen", "--config", cfg, "--out", str(tmp_path)]
+        assert cli.main(argv) == 0
+        return argv
+    raise AssertionError(command)
+
+
 class TestScipyLoading:
     def test_importing_the_cli_loads_no_scipy(self):
         script = (
@@ -425,40 +487,12 @@ class TestScipyLoading:
         )
         assert _run_child(script) == []
 
-    def _argv(self, tmp_path, command):
-        if command == "admissible":
-            cfg = admissible_config(
-                {"kind": "longitude", "t_range": [0.3, 0.8]}, {"E1": 1.0, "E2": 0.5}
-            )
-            return ["admissible", "--config", write_config(tmp_path, "a.json", cfg)]
-        if command == "schema-error":
-            cfg = write_config(tmp_path, "bad.json", {"profile": SPHERE, "bogus": 1})
-            return ["admissible", "--config", cfg]
-        if command == "plotdata":
-            cfg = write_config(
-                tmp_path,
-                "zonal.json",
-                {"sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]}},
-            )
-            assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
-            return ["plotdata", str(tmp_path / "zonal-equator.csv")]
-        if command == "eigen-warm":
-            cfg = write_config(
-                tmp_path,
-                "eigen.json",
-                {"profile": SPHERE, "eigen": {"k": 1, "count": 2, "N": 1024}},
-            )
-            argv = ["eigen", "--config", cfg, "--out", str(tmp_path)]
-            assert cli.main(argv) == 0
-            return argv
-        raise AssertionError(command)
-
     @pytest.mark.parametrize(
         "command, code",
         [("admissible", 0), ("schema-error", 2), ("plotdata", 0), ("eigen-warm", 0)],
     )
     def test_command_loads_no_scipy(self, tmp_path, capsys, command, code):
-        result = _run_child(_CHILD, json.dumps(self._argv(tmp_path, command)))
+        result = _run_child(_CHILD, json.dumps(_child_argv(tmp_path, command)))
         assert result == {"code": code, "scipy": []}
 
     def test_integrate_loads_scipy_special_not_interpolate(self, tmp_path):
@@ -475,3 +509,33 @@ class TestScipyLoading:
         assert result["code"] == 0
         assert "scipy.special" in result["scipy"]
         assert "scipy.interpolate" not in result["scipy"]
+
+
+_CHILD_JSONSCHEMA = """
+import contextlib, io, json, sys
+from qcilab.cli import main
+err = io.StringIO()
+with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+    code = main(json.loads(sys.argv[1]))
+print(json.dumps({"code": code, "jsonschema": "jsonschema" in sys.modules, "err": err.getvalue()}))
+"""
+
+
+class TestJsonschemaLoading:
+    def test_importing_the_cli_loads_no_jsonschema(self):
+        script = "import json, sys, qcilab.cli\nprint(json.dumps('jsonschema' in sys.modules))"
+        assert _run_child(script) is False
+
+    def test_plotdata_loads_no_jsonschema(self, tmp_path):
+        argv = _child_argv(tmp_path, "plotdata")
+        result = _run_child(_CHILD_JSONSCHEMA, json.dumps(argv))
+        assert result == {"code": 0, "jsonschema": False, "err": ""}
+
+    def test_schema_violation_still_exits_config_error(self, tmp_path):
+        argv = _child_argv(tmp_path, "schema-error")
+        result = _run_child(_CHILD_JSONSCHEMA, json.dumps(argv))
+        assert result["code"] == 2 and result["jsonschema"]
+        assert result["err"].splitlines() == [
+            "error: config schema violation at config root: "
+            "Additional properties are not allowed ('bogus' was unexpected)"
+        ]

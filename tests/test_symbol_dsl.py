@@ -18,6 +18,7 @@ from qcilab import (
     moment_map_from_config,
     parse_expr,
 )
+from qcilab.symbol_dsl import compile_expr
 
 
 def ev(text, profile=None, **env):
@@ -100,6 +101,36 @@ class TestEvalErrors:
             ev("f(t)", t=0.0)
 
 
+    @pytest.mark.parametrize(
+        "text, env, message",
+        [
+            ("1/(t - t)", {"t": 1.0}, "division by zero in '1 / (t - t)'"),
+            (
+                "xi_t + 1/(xi_t - 1)",
+                {"xi_t": np.array([0.5, 1.0, 2.0])},
+                "division by zero in '1 / (xi_t - 1)'",
+            ),
+            ("sqrt(0 - t^2)", {"t": 2.0}, "sqrt of negative value in 'sqrt(0 - t^2)'"),
+            (
+                "sqrt(xi_phi)",
+                {"xi_phi": np.array([[1.0, 4.0], [-1e-300, 9.0]])},
+                "sqrt of negative value in 'sqrt(xi_phi)'",
+            ),
+            ("2 * f(t)", {"t": 0.0}, "'f' needs a surface profile in 'f(t)'"),
+            ("fp(t + 1)", {"t": 0.0}, "'fp' needs a surface profile in 'fp(t + 1)'"),
+        ],
+    )
+    def test_compiled_errors_name_the_subexpression(self, text, env, message):
+        # a domain error anywhere in a batch raises, with the message the
+        # tree-walking evaluator gave
+        with pytest.raises(SymbolDomainError) as exc:
+            compile_expr(parse_expr(text), None)(**env)
+        assert str(exc.value) == message
+        with pytest.raises(SymbolDomainError) as exc:
+            eval_expr(parse_expr(text), env, None)
+        assert str(exc.value) == message
+
+
 # strategies for random well-formed expression trees
 _leaf = st.one_of(
     st.sampled_from(["t", "phi", "xi_t", "xi_phi"]),
@@ -155,6 +186,23 @@ class TestMomentMap:
 
     def test_builtin_flags(self, sphere_map):
         assert sphere_map.is_builtin_p1 and sphere_map.is_builtin_p2
+
+    def test_symbols_are_compiled_once(self, sphere, monkeypatch):
+        import qcilab.symbol_dsl as dsl
+
+        compiled = []
+
+        def counting(node, profile):
+            compiled.append(node)
+            return real(node, profile)
+
+        real = dsl.compile_expr
+        monkeypatch.setattr(dsl, "compile_expr", counting)
+        m = moment_map_from_config(sphere, BUILTIN_P1_TEXT, "2 * xi_phi")
+        for xi_t in (0.5, np.linspace(0.0, 1.0, 5)):
+            assert m.p1(0.6, 0.0, xi_t, 0.8) == pytest.approx(1.0 + xi_t**2, rel=1e-14)
+            assert m.p2(0.6, 0.0, xi_t, 0.8) == 1.6
+        assert compiled == [m.p1_expr, m.p2_expr]
 
     def test_parsed_builtin_text_matches_builtin(self, sphere, sphere_map):
         parsed = moment_map_from_config(sphere, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
