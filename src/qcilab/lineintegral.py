@@ -67,9 +67,7 @@ class QuadratureSpec:
 
 @lru_cache(maxsize=32)
 def _rule(n: int):
-    from scipy.special import roots_legendre
-
-    return roots_legendre(n)
+    return np.polynomial.legendre.leggauss(n)
 
 
 def integrate_restriction(u, geod: Geodesic, spec: QuadratureSpec, h: float) -> complex:

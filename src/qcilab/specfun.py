@@ -9,14 +9,18 @@ band of a mode with angular momentum k.
 
 N_l^k is evaluated by the normalized three-term recurrence in the degree
 at fixed order, with mantissa/exponent rescaling so that the
-exponentially small forbidden-region values stay representable up to
-l = 4000 without overflow on the sectoral seed.
+exponentially small forbidden-region values stay representable without
+overflow on the sectoral seed (tested up to l = 6400). The coefficients
+are precomputed per call, and the rescale test runs only every m steps,
+with m derived from the worst-case growth of one step; since scaling by
+a power of two is exact, the result is bit-identical to testing after
+every step. Everything here needs numpy alone.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from math import exp, lgamma, log
+from math import exp, fsum, log, log2
 from typing import Optional
 
 import numpy as np
@@ -80,18 +84,83 @@ def legendre_P(k: int, x):
     return cur
 
 
+def _log_central_binomial(m: int) -> float:
+    """log(C(2m, m) / 4^m), the sum of log(1 - 1/(2j)) over j = 1..m.
+
+    C(2m, m) / 4^m = prod_{j<=m} (2j-1)/(2j). Every term of the sum is
+    negative, so nothing cancels, and fsum rounds the sum once: the
+    result is within 6e-16 absolute for m <= 4000, where the log-gamma
+    form lgamma(2m+1) - 2 lgamma(m+1) - 2m log 2 subtracts numbers of
+    size m log m and loses ~1e-11.
+    """
+    return fsum(np.log1p(-0.5 / np.arange(1.0, m + 1.0)).tolist())
+
+
 def legendre_P0(k: int) -> float:
     """Exact P_k(0): zero for odd k, (-1)^{k/2} (k-1)!!/k!! for even k.
 
-    The double-factorial ratio is k!/(2^k ((k/2)!)^2), computed in
-    log-space so large k does not overflow.
+    The double-factorial ratio is C(k, k/2) / 2^k, computed in log space
+    so large k does not overflow.
     """
     if k < 0:
         raise ValueError("degree must be nonnegative")
     if k % 2 == 1:
         return 0.0
     sign = -1.0 if (k // 2) % 2 else 1.0
-    return sign * exp(lgamma(k + 1) - k * log(2.0) - 2.0 * lgamma(k / 2 + 1))
+    return sign * exp(_log_central_binomial(k // 2))
+
+
+def _sectoral_seed(k: int, x: np.ndarray):
+    """N_k^k(x) as a mantissa and an int64 exponent of 2.
+
+    N_k^k = sqrt((2k+1) C(2k, k) / (4^k 4 pi)) (1-x^2)^{k/2}, summed in
+    log space; it is zero at |x| = 1 for k > 0 and constant for k = 0.
+    """
+    logseed = np.full_like(x, 0.5 * (log(2 * k + 1) + _log_central_binomial(k) - _LOG4PI))
+    if k > 0:
+        with np.errstate(divide="ignore"):
+            logseed += 0.5 * k * np.log1p(-np.minimum(x * x, 1.0))
+    finite = np.isfinite(logseed)
+    e = np.where(finite, np.floor(logseed / _LN2), 0.0).astype(np.int64)
+    mant = np.where(finite, np.exp(logseed - e * _LN2), 0.0)
+    return mant, e
+
+
+def _raise_degree(l: int, k: int, x: np.ndarray, cur: np.ndarray, e: np.ndarray):
+    """N_l^k(x) from the seed N_k^k(x) = ldexp(cur, e).
+
+    See assoc_legendre_norm for the recurrence and the rescale interval.
+    """
+    n = l - k
+    if n == 0:
+        return np.ldexp(cur, e)
+    j = np.arange(k + 1.0, l + 1.0)
+    a = np.sqrt((4.0 * j * j - 1.0) / (j * j - k * k))
+    b = -np.sqrt((2.0 * j + 1.0) / (2.0 * j - 3.0) * ((j - 1.0) ** 2 - k * k) / (j * j - k * k))
+    m = int(200.0 / log2(a[0] + 2.0))
+    a, b = a.tolist(), b.tolist()
+
+    def rescale():
+        peak = np.maximum(np.abs(cur), np.abs(prev))
+        shift = np.where(peak > _BIG, 512, 0) - np.where((peak < _BIGI) & (peak > 0.0), 512, 0)
+        if shift.any():
+            np.ldexp(cur, -shift, out=cur)
+            np.ldexp(prev, -shift, out=prev)
+            np.add(e, shift, out=e)
+
+    # the first step has no N_{k-1} term
+    prev, cur, e = cur.copy(), a[0] * x * cur, e.copy()
+    new, bp = np.empty_like(cur), np.empty_like(cur)
+    for s in range(1, n):
+        np.multiply(x, a[s], out=new)
+        new *= cur
+        np.multiply(prev, b[s], out=bp)
+        new += bp
+        prev, cur, new = cur, new, prev
+        if (s + 1) % m == 0:
+            rescale()
+    rescale()
+    return np.ldexp(cur, e)
 
 
 def assoc_legendre_norm(l: int, k: int, x):
@@ -99,7 +168,8 @@ def assoc_legendre_norm(l: int, k: int, x):
 
     Normalized so that 2 pi * int_{-1}^{1} N_l^k(x)^2 dx = 1, i.e. the
     sphere function N_l^k(cos theta) e^{i k phi} has unit L2 norm. No
-    Condon-Shortley factor.
+    Condon-Shortley factor. Tested against independent oracles and for
+    overflow up to l = 6400.
 
     Forward recurrence in the degree at fixed order,
 
@@ -108,9 +178,27 @@ def assoc_legendre_norm(l: int, k: int, x):
         b_j = -sqrt((2j+1)/(2j-3) * ((j-1)^2-k^2)/(j^2-k^2)),
 
     seeded with the sectoral value in log space. Each x carries a
-    mantissa and an int64 exponent of 2, rescaled whenever the mantissa
-    leaves [2^-512, 2^512], so forbidden-region values that are far below
-    the double floor still recombine correctly via ldexp.
+    mantissa and an int64 exponent of 2, so forbidden-region values far
+    below the double floor still recombine correctly via ldexp.
+
+    The coefficients are exact integers combined in a fixed order, so
+    they are the same doubles whether computed one at a time or as an
+    array. The mantissa pair (N_{j-1}, N_j) is rescaled by 2^-512 when
+    its larger magnitude exceeds 2^512, and by 2^512 when it is nonzero
+    and below 2^-512, after every m-th step and after the last one, with
+
+        m = floor(200 / log2(a_{k+1} + 2)).
+
+    This keeps every mantissa normal. For k >= 1, a_j decreases in j;
+    for k = 0 it stays below 2; and 1/2 <= |b_j| < 2. One step therefore
+    grows the pair by at most a_j + |b_j| <= a_{k+1} + 2, so m steps from
+    below 2^512 stay below 2^712. A step shrinks it by at most
+    (1 + a_j) / |b_j| <= 2 (a_{k+1} + 2), so m <= 105 steps from above
+    2^-512 stay above 2^-817. Multiplying by a power of two commutes
+    exactly with products and sums of normal numbers, and a term that
+    lands among the subnormals (next to a zero of N_j) sits below half an
+    ulp of the other term in both scalings, so N_l^k is bit-identical to
+    rescaling after every step.
     """
     if not 0 <= k <= l:
         raise ValueError(f"need 0 <= k <= l, got l={l} k={k}")
@@ -119,47 +207,7 @@ def assoc_legendre_norm(l: int, k: int, x):
     x = np.atleast_1d(x)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("assoc_legendre_norm requires |x| <= 1")
-
-    from scipy.special import gammaln
-
-    # sectoral seed: N_k^k = sqrt((2k+1)! / (2^{2k} (k!)^2 4pi)) (1-x^2)^{k/2}
-    with np.errstate(divide="ignore"):
-        logs2 = np.where(np.abs(x) < 1.0, np.log1p(-x * x), -np.inf)
-    logseed = (
-        0.5 * (gammaln(2 * k + 2) - 2 * k * _LN2 - 2 * gammaln(k + 1) - _LOG4PI)
-        + 0.5 * k * logs2
-    )
-    chunks = np.where(np.isfinite(logseed), np.floor(logseed / _LN2), 0.0).astype(np.int64)
-    mant = np.where(np.isfinite(logseed), np.exp(logseed - chunks * _LN2), 0.0)
-    e = chunks.copy()
-
-    if l == k:
-        out = np.ldexp(mant, e)
-        return float(out[0]) if scalar else out
-
-    prev = np.zeros_like(mant)
-    cur = mant
-    for j in range(k + 1, l + 1):
-        a = np.sqrt((4.0 * j * j - 1.0) / (j * j - k * k))
-        if j == k + 1:
-            new = a * x * cur
-        else:
-            b = -np.sqrt(
-                (2.0 * j + 1.0) / (2.0 * j - 3.0) * ((j - 1.0) ** 2 - k * k) / (j * j - k * k)
-            )
-            new = a * x * cur + b * prev
-        prev, cur = cur, new
-        big = np.abs(cur) > _BIG
-        if np.any(big):
-            cur = np.where(big, cur * _BIGI, cur)
-            prev = np.where(big, prev * _BIGI, prev)
-            e = np.where(big, e + 512, e)
-        small = (np.abs(cur) < _BIGI) & (np.abs(cur) > 0) & (np.abs(prev) < _BIGI)
-        if np.any(small):
-            cur = np.where(small, cur * _BIG, cur)
-            prev = np.where(small, prev * _BIG, prev)
-            e = np.where(small, e - 512, e)
-    out = np.ldexp(cur, e)
+    out = _raise_degree(l, k, x, *_sectoral_seed(k, x))
     return float(out[0]) if scalar else out
 
 

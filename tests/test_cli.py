@@ -467,6 +467,24 @@ def _child_argv(tmp_path, command):
         )
         assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
         return ["plotdata", str(tmp_path / "zonal-equator.csv")]
+    if command == "integrate":
+        cfg = write_config(
+            tmp_path,
+            "single.json",
+            {
+                "profile": SPHERE,
+                "geodesic": {"kind": "longitude", "t_range": [0.3, 0.8]},
+                "integrate": {"l": 40, "k": 20},
+            },
+        )
+        return ["integrate", "--config", cfg]
+    if command == "sweep":
+        cfg = write_config(
+            tmp_path,
+            "tesseral.json",
+            {"sweep": {"experiment": "tesseral-caustic", "k_list": [20, 40, 80]}},
+        )
+        return ["sweep", "--config", cfg, "--out", str(tmp_path)]
     if command == "eigen-warm":
         cfg = write_config(
             tmp_path,
@@ -489,26 +507,29 @@ class TestScipyLoading:
 
     @pytest.mark.parametrize(
         "command, code",
-        [("admissible", 0), ("schema-error", 2), ("plotdata", 0), ("eigen-warm", 0)],
+        [
+            ("admissible", 0),
+            ("schema-error", 2),
+            ("plotdata", 0),
+            ("eigen-warm", 0),
+            ("integrate", 0),
+            ("sweep", 0),
+        ],
     )
     def test_command_loads_no_scipy(self, tmp_path, capsys, command, code):
         result = _run_child(_CHILD, json.dumps(_child_argv(tmp_path, command)))
         assert result == {"code": code, "scipy": []}
 
-    def test_integrate_loads_scipy_special_not_interpolate(self, tmp_path):
+    def test_uncached_eigen_solve_loads_scipy(self, tmp_path):
         cfg = write_config(
             tmp_path,
-            "single.json",
-            {
-                "profile": SPHERE,
-                "geodesic": {"kind": "equator-latitude", "phi_range": [0.0, 1.0]},
-                "integrate": {"l": 20, "k": 0},
-            },
+            "eigen.json",
+            {"profile": SPHERE, "eigen": {"k": 1, "count": 2, "N": 1024}},
         )
-        result = _run_child(_CHILD, json.dumps(["integrate", "--config", cfg]))
+        argv = ["eigen", "--config", cfg, "--out", str(tmp_path)]
+        result = _run_child(_CHILD, json.dumps(argv))
         assert result["code"] == 0
-        assert "scipy.special" in result["scipy"]
-        assert "scipy.interpolate" not in result["scipy"]
+        assert "scipy.linalg" in result["scipy"]
 
 
 _CHILD_JSONSCHEMA = """

@@ -2,6 +2,7 @@
 
 import numpy as np
 import pytest
+from scipy.special import roots_legendre
 
 from qcilab import (
     HarmonicIndex,
@@ -16,6 +17,7 @@ from qcilab import (
     solve_modes,
     turning_points,
 )
+from qcilab.lineintegral import _rule
 
 
 class TestQuadratureSpec:
@@ -35,6 +37,14 @@ class TestQuadratureSpec:
     def test_json_round_trip(self):
         spec = QuadratureSpec(nodes_per_panel=8, panels_per_wavelength=6.0)
         assert QuadratureSpec.from_json(spec.as_json()) == spec
+
+
+class TestRule:
+    def test_matches_scipy_gauss_legendre(self):
+        x, w = _rule(12)
+        ref_x, ref_w = roots_legendre(12)
+        assert np.max(np.abs(x - ref_x)) <= 2e-15
+        assert np.max(np.abs(w - ref_w)) <= 2e-15
 
 
 class TestIntegrateRestriction:

@@ -1,5 +1,8 @@
 """Legendre functions, normalization, and the oscillatory main term."""
 
+import math
+from decimal import Decimal, localcontext
+
 import numpy as np
 import pytest
 from scipy.special import gammaln, lpmv, roots_legendre
@@ -12,6 +15,7 @@ from qcilab import (
     szego_main_term,
     turning_points,
 )
+from qcilab.specfun import _BIG, _BIGI, _log_central_binomial, _raise_degree, _sectoral_seed
 
 
 class TestHarmonicIndex:
@@ -93,6 +97,20 @@ class TestLegendreP0:
         assert np.isfinite(v) and v != 0.0
 
 
+class TestLogCentralBinomial:
+    def test_matches_exact_integer_oracle(self):
+        # log(C(2m, m) / 4^m) from the exact integer, at 40 digits
+        ms = [*range(101), *range(101, 3200, 11), 3200]
+        with localcontext() as ctx:
+            ctx.prec = 40
+            ln4 = Decimal(4).ln()
+            worst = max(
+                abs(Decimal(_log_central_binomial(m)) - (Decimal(math.comb(2 * m, m)).ln() - m * ln4))
+                for m in ms
+            )
+        assert worst <= Decimal("1e-15")
+
+
 def _lpmv_normalized(l, k, x):
     # independent oracle: scipy's unnormalized P_l^k times the L2(S^2) factor;
     # only usable while (l+k)! stays in double range
@@ -143,6 +161,18 @@ class TestAssocLegendreNorm:
         assert np.all(np.isfinite(v))
         assert np.min(np.abs(v)) > 0.0
 
+    @pytest.mark.parametrize("l", [1, 2, 5, 40, 121])
+    def test_pole_values(self, l):
+        # N_l^0(+-1) = sqrt((2l+1)/4pi) (+-1)^l; every k > 0 vanishes there
+        for x in (1.0, -1.0):
+            zonal = np.sqrt((2 * l + 1) / (4 * np.pi)) * x**l
+            assert assoc_legendre_norm(l, 0, x) == pytest.approx(zonal, rel=1e-14)
+            assert assoc_legendre_norm(l, 0, x) == pytest.approx(
+                _lpmv_normalized(l, 0, x), rel=1e-12
+            )
+            for k in range(1, min(l, 3) + 1):
+                assert assoc_legendre_norm(l, k, x) == 0.0 == _lpmv_normalized(l, k, x)
+
     def test_scalar_in_scalar_out(self):
         v = assoc_legendre_norm(40, 20, 0.1)
         assert isinstance(v, float)
@@ -150,6 +180,87 @@ class TestAssocLegendreNorm:
     def test_order_above_degree_rejected(self):
         with pytest.raises(ValueError):
             assoc_legendre_norm(3, 4, 0.0)
+
+
+def _per_step_loop(l, k, x, mant, chunks):
+    # reference for the rescale interval: the coefficients recomputed and
+    # the rescale tested after every step
+    e = chunks.copy()
+
+    if l == k:
+        out = np.ldexp(mant, e)
+        return out
+
+    prev = np.zeros_like(mant)
+    cur = mant
+    for j in range(k + 1, l + 1):
+        a = np.sqrt((4.0 * j * j - 1.0) / (j * j - k * k))
+        if j == k + 1:
+            new = a * x * cur
+        else:
+            b = -np.sqrt(
+                (2.0 * j + 1.0) / (2.0 * j - 3.0) * ((j - 1.0) ** 2 - k * k) / (j * j - k * k)
+            )
+            new = a * x * cur + b * prev
+        prev, cur = cur, new
+        big = np.abs(cur) > _BIG
+        if np.any(big):
+            cur = np.where(big, cur * _BIGI, cur)
+            prev = np.where(big, prev * _BIGI, prev)
+            e = np.where(big, e + 512, e)
+        small = (np.abs(cur) < _BIGI) & (np.abs(cur) > 0) & (np.abs(prev) < _BIGI)
+        if np.any(small):
+            cur = np.where(small, cur * _BIG, cur)
+            prev = np.where(small, prev * _BIG, prev)
+            e = np.where(small, e - 512, e)
+    out = np.ldexp(cur, e)
+    return out
+
+
+def _bit_test_points(l, k):
+    x = np.linspace(-1.0, 1.0, 801)
+    x = np.concatenate([x, [-0.0, 6.1e-17, 1.0 - 1e-15, -1.0 + 1e-15, 0.999999, -0.99]])
+    if 0 < k < l:
+        theta0, _ = turning_points(HarmonicIndex(l, k))
+        near = theta0 + np.linspace(-0.02, 0.02, 201)
+        x = np.concatenate([x, np.cos(near), -np.cos(near)])
+    return x
+
+
+class TestRecurrenceMatchesPerStepLoop:
+    @pytest.mark.parametrize(
+        "l, k",
+        [(0, 0), (5, 0), (3000, 0), (1, 1), (2, 1), (500, 1), (3, 2), (4000, 10),
+         (4000, 3999), (200, 100), (3200, 1600), (6400, 3200)],
+    )
+    def test_bit_identical(self, l, k):
+        x = _bit_test_points(l, k)
+        ref = _per_step_loop(l, k, x, *_sectoral_seed(k, x))
+        assert assoc_legendre_norm(l, k, x).tobytes() == ref.tobytes()
+
+    def test_bit_identical_through_both_rescales(self):
+        # a seed 2^600 below the true one (exponent raised to match) makes the
+        # per-step loop scale up after its first step; at x = 0.9 the values
+        # then grow by more than 2^1200, so it also scales down later
+        l, k = 6400, 3200
+        x = np.concatenate([_bit_test_points(l, k), [0.9]])
+        mant, e = _sectoral_seed(k, x)
+        mant, e = mant * 2.0**-600, e + 600
+        assert np.all(mant < _BIGI)
+        ref = _per_step_loop(l, k, x, mant, e)
+        assert np.log2(abs(ref[-1])) - (np.log2(mant[-1]) + e[-1]) > 1200
+        assert _raise_degree(l, k, x, mant, e).tobytes() == ref.tobytes()
+        assert ref.tobytes() == assoc_legendre_norm(l, k, x).tobytes()
+
+    def test_bit_identical_from_a_seed_just_below_the_big_rescale(self):
+        # the first rescale interval then starts where the bound allows and
+        # the growth per step is steepest, near the pole at k = 3200
+        l, k = 6400, 3200
+        x = _bit_test_points(l, k)
+        mant, e = _sectoral_seed(k, x)
+        mant, e = mant * 2.0**510, e - 510
+        ref = _per_step_loop(l, k, x, mant, e)
+        assert _raise_degree(l, k, x, mant, e).tobytes() == ref.tobytes()
 
 
 class TestSzegoMainTerm:
