@@ -1,4 +1,4 @@
-"""Crash-safe text file writes shared by the report and cache writers."""
+"""Crash-safe file writes shared by the report and cache writers."""
 
 from __future__ import annotations
 
@@ -10,8 +10,8 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def _atomic_write(path: str, data: str):
-    """Write text to path through a unique temp file and one rename.
+def _atomic_write(path: str, data: str | bytes):
+    """Write text or bytes to path through a unique temp file and one rename.
 
     The temp file sits in the target directory, so concurrent writers never
     share it and the rename stays on one file system. A failed write
@@ -20,7 +20,7 @@ def _atomic_write(path: str, data: str):
     directory, name = os.path.split(path)
     fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
     try:
-        with os.fdopen(fd, "w") as fh:
+        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)
         os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)

@@ -106,14 +106,17 @@ def _energies(cfg: dict) -> admissibility.EnergyPair:
     )
 
 
-# types of the quadrature keys; QuadratureSpec supplies the defaults
-_QUADRATURE_TYPES = {"nodes_per_panel": int, "panels_per_wavelength": float, "max_panels": int}
+def _given(spec: dict, types: dict) -> dict:
+    """The keys of spec that types names, each cast to its type.
+
+    A key the config omits is left out, so the library default applies.
+    """
+    return {key: cast(spec[key]) for key, cast in types.items() if key in spec}
 
 
 def _quadrature(cfg: dict) -> QuadratureSpec:
-    spec = cfg.get("quadrature", {})
-    given = {key: cast(spec[key]) for key, cast in _QUADRATURE_TYPES.items() if key in spec}
-    return QuadratureSpec(**given)
+    types = {"nodes_per_panel": int, "panels_per_wavelength": float, "max_panels": int}
+    return QuadratureSpec(**_given(cfg.get("quadrature", {}), types))
 
 
 def _k_list(spec: dict) -> list[int]:
@@ -137,10 +140,10 @@ def cmd_admissible(args) -> int:
     geod = _geodesic(cfg, profile)
     energies = _energies(cfg)
     opts = cfg.get("admissibility", {})
-    grid = tuple(opts.get("grid", (128, 128)))
-    threshold = opts.get("threshold")
     try:
-        report = admissibility.check_admissible(mmap, geod, energies, grid, threshold)
+        report = admissibility.check_admissible(
+            mmap, geod, energies, threshold=opts.get("threshold"), **_given(opts, {"grid": tuple})
+        )
     except admissibility.FiberError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_EMPTY_BAND
@@ -156,9 +159,10 @@ def cmd_eigen(args) -> int:
     cfg = load_config(args.config)
     profile = _profile(cfg)
     spec = _need(cfg, "eigen")
-    k, count, N = int(spec["k"]), int(spec["count"]), int(spec.get("N", 4096))
-    cache_dir = f"{args.out}/cache"
-    modes, _ = eigensolve.solve_modes_cached(profile, k, count, N, cache_dir)
+    k, count = int(spec["k"]), int(spec["count"])
+    modes, _ = eigensolve.solve_modes_cached(
+        profile, k, count, cache_dir=f"{args.out}/cache", **_given(spec, {"N": int})
+    )
     print("l_index lambda h")
     for m in modes:
         print(f"{m.l_index} {m.eigenvalue!r} {'-' if m.h is None else repr(m.h)}")
@@ -202,16 +206,13 @@ def cmd_sweep(args) -> int:
         profile = _profile(cfg) if "profile" in cfg else None
         report = sweep.run_tesseral_sweep(
             ks,
-            delta0=float(spec.get("delta0", 0.3)),
             profile=profile,
             quadrature=_quadrature(cfg),
-            side=spec.get("side", "forbidden"),
+            **_given(spec, {"delta0": float, "side": str}),
         )
     elif experiment == "transition-peak":
         report = sweep.run_transition_peak_sweep(
-            ks,
-            width_scale=float(spec.get("width_scale", 1.0)),
-            samples=int(spec.get("samples", 801)),
+            ks, **_given(spec, {"width_scale": float, "samples": int})
         )
     else:
         raise ConfigError(

@@ -28,9 +28,8 @@ form of the surface L2 normalization in the (t, phi) chart.
 from __future__ import annotations
 
 import hashlib
-import json
+import io
 import os
-import warnings
 from dataclasses import dataclass
 from functools import cached_property
 from typing import Optional
@@ -235,68 +234,65 @@ def profile_hash(profile: ProfileFunction) -> str:
 
 
 def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str:
-    return os.path.join(cache_dir, f"{profile_hash(profile)}_k{k}_N{N}")
+    return os.path.join(cache_dir, f"{profile_hash(profile)}_k{k}_N{N}.npz")
 
 
 def save_modes(modes, cache_dir: str) -> str:
-    """Persist a family of modes (same profile, k, grid) as meta.json + radial.csv."""
+    """Persist a family of modes (same profile, k, grid) as one .npz slot file.
+
+    The members are profile (its canonical text), k, N, eigenvalues
+    (count), grid (N) and radial (count x N). The file is published by a
+    single rename, and saving the same modes twice gives the same bytes.
+    """
     if not modes:
         raise ValueError("nothing to save")
     first = modes[0]
     N = len(first.radial_grid)
     slot = _cache_slot(cache_dir, first.profile, first.k, N)
-    os.makedirs(slot, exist_ok=True)
-
-    meta = {
-        "profile": first.profile.as_json(),
-        "k": first.k,
-        "N": N,
-        "count": len(modes),
-        "eigenvalues": [m.eigenvalue for m in modes],
-    }
-    _atomic_write(os.path.join(slot, "meta.json"), json.dumps(meta, indent=1))
-
-    cols = [first.radial_grid] + [m.radial_values for m in modes]
-    header = ",".join(["t"] + [f"mode_{i}" for i in range(len(modes))])
-    lines = [header]
-    for row in zip(*cols):
-        lines.append(",".join(repr(float(v)) for v in row))
-    _atomic_write(os.path.join(slot, "radial.csv"), "\n".join(lines) + "\n")
+    buf = io.BytesIO()
+    np.savez(
+        buf,
+        profile=first.profile.canonical_text(),
+        k=first.k,
+        N=N,
+        eigenvalues=[m.eigenvalue for m in modes],
+        grid=first.radial_grid,
+        radial=[m.radial_values for m in modes],
+    )
+    os.makedirs(cache_dir, exist_ok=True)
+    _atomic_write(slot, buf.getvalue())
     return slot
 
 
 def load_modes(profile: ProfileFunction, k: int, N: int, count: int, cache_dir: str):
     """Load cached modes, or None when the slot is absent, too small or corrupt.
 
-    A corrupt slot (unparsable meta.json or radial.csv, missing keys, or
-    arrays whose shape disagrees with N and count) reads as a miss, so
-    the caller solves again and rewrites it.
+    A slot that is not a readable .npz (the zip CRC catches a flipped
+    data byte), lacks a member, was written for another profile, k or N,
+    holds fewer than `count` modes, or has arrays whose shape disagrees
+    with N reads as a miss, so the caller solves again and rewrites it.
     """
-    slot = _cache_slot(cache_dir, profile, k, N)
-    meta_path = os.path.join(slot, "meta.json")
-    csv_path = os.path.join(slot, "radial.csv")
-    if not (os.path.exists(meta_path) and os.path.exists(csv_path)):
-        return None
     try:
-        with open(meta_path) as fh:
-            meta = json.load(fh)
-        if meta["count"] < count or meta["k"] != k or meta["N"] != N:
-            return None
-        eigenvalues = [float(lam) for lam in meta["eigenvalues"][:count]]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")  # an empty CSV warns, then fails the shape test
-            data = np.loadtxt(csv_path, delimiter=",", skiprows=1)
-    except (ValueError, KeyError, TypeError):
+        with np.load(_cache_slot(cache_dir, profile, k, N)) as slot:
+            stored = tuple(slot[name].item() for name in ("profile", "k", "N"))
+            lams, grid, radial = slot["eigenvalues"], slot["grid"], slot["radial"]
+    # damaged bytes raise many types here: zipfile's BadZipFile, EOFError and
+    # RuntimeError (an encryption flag), KeyError for a missing member, and
+    # ValueError or tokenize.TokenError from the .npy header parser; an
+    # unreadable slot is a miss whatever the type
+    except Exception:
         return None
-    if len(eigenvalues) < count or data.ndim != 2:
+    valid = (
+        stored == (profile.canonical_text(), k, N)
+        and {lams.dtype, grid.dtype, radial.dtype} == {np.dtype(float)}
+        and lams.ndim == 1
+        and len(lams) >= count
+        and grid.shape == (N,)
+        and radial.shape == (len(lams), N)
+    )
+    if not valid:
         return None
-    if data.shape[0] != N or data.shape[1] < count + 1:
-        return None
-    grid = data[:, 0]
-    return [
-        _make_mode(profile, k, i, eigenvalues[i], grid, data[:, i + 1])
-        for i in range(count)
-    ]
+    return [_make_mode(profile, k, i, lams[i], grid, radial[i]) for i in range(count)]
 
 
 def solve_modes_cached(profile, k, count, N=4096, cache_dir=None):

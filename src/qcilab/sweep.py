@@ -277,6 +277,25 @@ def run_transition_peak_sweep(
 # -- persistence ----------------------------------------------------------------
 
 
+def _is_number(value) -> bool:
+    return isinstance(value, (int, float)) and not isinstance(value, bool)
+
+
+def _sidecar_quadrature(sidecar: str, quad) -> Optional[QuadratureSpec]:
+    """The sidecar's quadrature, which must be null or carry every key as a number."""
+    if quad is None:
+        return None
+    keys = tuple(QuadratureSpec().as_json())
+    if not (isinstance(quad, dict) and all(_is_number(quad.get(key)) for key in keys)):
+        raise ReportFormatError(
+            f"{sidecar}: quadrature must be null or an object with numbers {', '.join(keys)}"
+        )
+    try:
+        return QuadratureSpec.from_json(quad)
+    except (ValueError, OverflowError) as exc:
+        raise ReportFormatError(f"{sidecar}: quadrature: {exc}") from exc
+
+
 def _sidecar_path(csv_path: str) -> str:
     root, _ = os.path.splitext(csv_path)
     return root + ".json"
@@ -341,9 +360,13 @@ def load_report(csv_path: str) -> SweepReport:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ReportFormatError(f"{sidecar}: {exc}") from exc
+    if not isinstance(meta, dict):
+        raise ReportFormatError(f"{sidecar}: expected a JSON object, found {type(meta).__name__}")
     if meta.get("experiment") not in EXPERIMENTS:
         raise ReportFormatError(f"{sidecar}: unknown experiment {meta.get('experiment')!r}")
-    quad = meta.get("quadrature")
+    for key in ("slope", "intercept_logC", "r_squared", "delta0"):
+        if meta.get(key) is not None and not _is_number(meta[key]):
+            raise ReportFormatError(f"{sidecar}: {key} must be a number or null, found {meta[key]!r}")
     return SweepReport(
         experiment=meta["experiment"],
         rows=tuple(rows),
@@ -351,5 +374,5 @@ def load_report(csv_path: str) -> SweepReport:
         intercept_logC=meta.get("intercept_logC"),
         r_squared=meta.get("r_squared"),
         delta0=meta.get("delta0"),
-        quadrature=QuadratureSpec.from_json(quad) if quad else None,
+        quadrature=_sidecar_quadrature(sidecar, meta.get("quadrature")),
     )

@@ -21,6 +21,7 @@ call of it.
 
 from __future__ import annotations
 
+import math
 import re
 from dataclasses import dataclass
 from functools import cached_property
@@ -184,8 +185,11 @@ class _Parser:
             return node
         if ch.isdigit():
             m = _NUMBER.match(self.text, self.pos)
+            value = float(m.group(0))
+            if not math.isfinite(value):
+                self._err(f"number {m.group(0)} overflows to infinity")
             self.pos = m.end()
-            return Num(float(m.group(0)))
+            return Num(value)
         m = _IDENT.match(self.text, self.pos)
         if m is None:
             self._err(f"unexpected {ch!r}")
@@ -276,12 +280,21 @@ def compile_expr(node: Expr, profile: ProfileFunction):
     and makes one numpy call per operator. Arguments may be scalars or
     arrays that broadcast together; omitted ones are 0.0. Calling fn
     raises SymbolDomainError on division by zero, sqrt of a negative, or
-    f/fp without a profile, naming the offending sub-expression.
+    f/fp without a profile, naming the offending sub-expression. Any
+    other floating-point overflow, invalid value or division by zero, such
+    as f or fp off the chart, raises it too, naming the whole expression.
     """
     fn = _compile(node, profile)
+    text = format_expr(node)
 
     def evaluate(t=0.0, phi=0.0, xi_t=0.0, xi_phi=0.0):
-        return fn((t, phi, xi_t, xi_phi))
+        # scalars become numpy scalars, which obey errstate as arrays do
+        env = tuple(v if isinstance(v, np.ndarray) else np.float64(v) for v in (t, phi, xi_t, xi_phi))
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                return fn(env)
+        except FloatingPointError as exc:
+            raise SymbolDomainError(f"{exc} in '{text}'") from None
 
     return evaluate
 
@@ -289,7 +302,7 @@ def compile_expr(node: Expr, profile: ProfileFunction):
 def _compile(node: Expr, profile: ProfileFunction):
     """Closure env -> value for one node; env is (t, phi, xi_t, xi_phi)."""
     if isinstance(node, Num):
-        value = node.value
+        value = np.float64(node.value)  # so that arithmetic on constants obeys errstate
         return lambda env: value
     if isinstance(node, Var):
         slot = VARIABLES.index(node.name)

@@ -1,5 +1,6 @@
 """End-to-end runs of the command line interface."""
 
+import io
 import json
 import os
 import subprocess
@@ -107,6 +108,25 @@ class TestAdmissibleCommand:
         assert captured.out == ""
         assert captured.err.splitlines() == [f"error: {error}"]
 
+    @pytest.mark.parametrize(
+        "p1, offset",
+        [("xi_t^2 + xi_phi^2 / (1e999 - f(t))", 22), ("xi_t^2 + xi_phi^2 + 1e999", 21)],
+        ids=["inside-a-division", "bare"],
+    )
+    def test_overflowing_literal_is_a_config_error(self, tmp_path, capsys, p1, offset):
+        payload = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]},
+            {"E1": 1.0, "E2": 0.5},
+        )
+        payload["p1"] = p1
+        cfg = write_config(tmp_path, "overflow.json", payload)
+        assert cli.main(["admissible", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: number 1e999 overflows to infinity (offset {offset})"
+        ]
+
     def test_symbol_without_xi_exits_empty_fiber(self, tmp_path, capsys):
         payload = admissible_config(
             {"kind": "longitude", "t_range": [0.3, 0.8]},
@@ -166,18 +186,17 @@ class TestEigenCommand:
         assert cli.main(["eigen", "--config", cfg, "--out", str(tmp_path)]) == 2
 
     @pytest.mark.parametrize(
-        "name, corrupt",
+        "corrupt",
         [
-            ("radial.csv", lambda text: "garbage\n"),
-            ("meta.json", lambda text: text[: len(text) // 2]),
-            # two columns (t, mode_0) where meta.json promises three modes
-            ("radial.csv", lambda text: "".join(
-                ",".join(row.split(",")[:2]) + "\n" for row in text.splitlines()
-            )),
+            lambda raw: b"garbage\n",
+            lambda raw: raw[: len(raw) // 2],
+            # one radial row where the eigenvalues promise three modes
+            lambda raw: _rewrite_npz(raw, radial=lambda r: r[:1]),
         ],
         ids=["garbage-csv", "truncated-meta", "too-few-columns"],
     )
-    def test_corrupt_cache_slot_is_solved_again(self, tmp_path, capsys, name, corrupt):
+    def test_corrupt_cache_slot_is_solved_again(self, tmp_path, capsys, corrupt):
+        # the ids name the damage to the two-file slot that each case replaces
         cfg = write_config(
             tmp_path,
             "eigen.json",
@@ -187,9 +206,8 @@ class TestEigenCommand:
         assert cli.main(argv) == 0
         clean_out = capsys.readouterr().out
         (slot,) = (tmp_path / "cache").iterdir()
-        clean = {p.name: p.read_bytes() for p in slot.iterdir()}
-        target = slot / name
-        target.write_text(corrupt(target.read_text()))
+        clean = slot.read_bytes()
+        slot.write_bytes(corrupt(clean))
 
         assert cli.main(argv) == 0
         out, err = capsys.readouterr()
@@ -197,7 +215,19 @@ class TestEigenCommand:
         lams = [float(row.split()[1]) for row in out.strip().splitlines()[1:]]
         for lam, expect in zip(lams, (6.0, 12.0, 20.0)):  # l(l+1) for l = 2, 3, 4
             assert lam == pytest.approx(expect, abs=1e-6)
-        assert {p.name: p.read_bytes() for p in slot.iterdir()} == clean
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [slot.name]
+        assert slot.read_bytes() == clean
+
+
+def _rewrite_npz(raw, **edits):
+    """The .npz bytes with each named member replaced by edit(member)."""
+    with np.load(io.BytesIO(raw)) as slot:
+        members = dict(slot)
+    for name, edit in edits.items():
+        members[name] = edit(members[name])
+    buf = io.BytesIO()
+    np.savez(buf, **members)
+    return buf.getvalue()
 
 
 class TestIntegrateCommand:
@@ -364,6 +394,144 @@ class TestPlotdataCommand:
         )
         assert cli.main(["plotdata", str(tmp_path / "bad.csv")]) == 2
         assert "line 2" in capsys.readouterr().err
+
+
+_SIDECAR = {
+    "experiment": "custom",
+    "slope": -0.5,
+    "intercept_logC": 0.1,
+    "r_squared": 0.99,
+    "delta0": 0.3,
+    "quadrature": {"nodes_per_panel": 12, "panels_per_wavelength": 4.0, "max_panels": 1000},
+}
+
+
+_DROP = object()
+
+
+def _sidecar(**edits):
+    meta = dict(_SIDECAR)
+    for key, value in edits.items():
+        if value is _DROP:
+            del meta[key]
+        else:
+            meta[key] = value
+    return meta
+
+
+class TestMalformedSidecar:
+    @pytest.mark.parametrize(
+        "meta, problem",
+        [
+            ([1, 2], "expected a JSON object, found list"),
+            ("text", "expected a JSON object, found str"),
+            (_sidecar(slope="abc"), "slope must be a number or null, found 'abc'"),
+            (_sidecar(intercept_logC=[0.1]), "intercept_logC must be a number or null"),
+            (_sidecar(r_squared=True), "r_squared must be a number or null, found True"),
+            (_sidecar(delta0={"value": 0.3}), "delta0 must be a number or null"),
+            (
+                _sidecar(quadrature={"panels_per_wavelength": 4.0, "max_panels": 1000}),
+                "quadrature must be null or an object",
+            ),
+            (_sidecar(quadrature=[12, 4.0, 1000]), "quadrature must be null or an object"),
+            (
+                _sidecar(quadrature=dict(_SIDECAR["quadrature"], max_panels="many")),
+                "quadrature must be null or an object",
+            ),
+            (
+                _sidecar(quadrature=dict(_SIDECAR["quadrature"], nodes_per_panel=float("inf"))),
+                "quadrature: cannot convert float infinity to integer",
+            ),
+            (
+                _sidecar(quadrature=dict(_SIDECAR["quadrature"], nodes_per_panel=2)),
+                "quadrature: nodes_per_panel must be at least 4",
+            ),
+        ],
+        ids=[
+            "list",
+            "string",
+            "string-slope",
+            "list-intercept",
+            "bool-r-squared",
+            "object-delta0",
+            "quadrature-missing-key",
+            "quadrature-list",
+            "quadrature-string-value",
+            "quadrature-infinite-count",
+            "quadrature-out-of-range",
+        ],
+    )
+    def test_plotdata_exits_config_error(self, tmp_path, capsys, meta, problem):
+        (tmp_path / "r.csv").write_text("k,l,h,abs_I,re_I,im_I\n10,20,0.05,0.1,0.1,0.0\n")
+        sidecar = tmp_path / "r.json"
+        sidecar.write_text(json.dumps(meta))
+        assert cli.main(["plotdata", str(tmp_path / "r.csv")]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {sidecar}: ") and problem in line
+
+    @pytest.mark.parametrize(
+        "edits", [{}, {"slope": None, "intercept_logC": None, "r_squared": None}, {"delta0": _DROP}]
+    )
+    def test_well_formed_sidecar_is_accepted(self, tmp_path, capsys, edits):
+        (tmp_path / "r.csv").write_text("k,l,h,abs_I,re_I,im_I\n10,20,0.05,0.1,0.1,0.0\n")
+        (tmp_path / "r.json").write_text(json.dumps(_sidecar(**edits)))
+        assert cli.main(["plotdata", str(tmp_path / "r.csv")]) == 0
+        assert capsys.readouterr().err == ""
+
+
+_LONGITUDE = admissible_config({"kind": "longitude", "t_range": [0.3, 0.8]}, {"E1": 1.0, "E2": 0.5})
+
+
+class TestLibraryDefaults:
+    @pytest.mark.parametrize(
+        "command, cfg, section, key, default",
+        [
+            ("admissible", dict(_LONGITUDE, admissibility={}), "admissibility", "grid", [128, 128]),
+            ("eigen", {"profile": SPHERE, "eigen": {"k": 2, "count": 2}}, "eigen", "N", 4096),
+            *[
+                ("sweep", {"sweep": {"experiment": experiment, "k_list": [20, 40, 80]}}, "sweep", key, default)
+                for experiment, key, default in [
+                    ("tesseral-caustic", "delta0", 0.3),
+                    ("tesseral-caustic", "side", "forbidden"),
+                    ("transition-peak", "width_scale", 1.0),
+                    ("transition-peak", "samples", 801),
+                ]
+            ],
+        ],
+        ids=["grid", "N", "delta0", "side", "width_scale", "samples"],
+    )
+    def test_omitted_key_gives_the_same_bytes(
+        self, tmp_path, capsys, command, cfg, section, key, default
+    ):
+        given = dict(cfg, **{section: dict(cfg[section], **{key: default})})
+        runs = []
+        for name, payload in (("given", given), ("omitted", cfg)):
+            out = tmp_path / name
+            out.mkdir()
+            path = write_config(tmp_path, f"{name}.json", payload)
+            code = cli.main([command, "--config", path, "--out", str(out)])
+            files = {str(p.relative_to(out)): p.read_bytes() for p in out.rglob("*") if p.is_file()}
+            runs.append((code, capsys.readouterr(), files))
+        assert runs[0] == runs[1]
+        assert runs[0][0] in (0, 3) and runs[0][1].err == ""
+
+    def test_integer_delta0_is_written_as_a_float(self, tmp_path, capsys):
+        cfg = write_config(
+            tmp_path,
+            "tess.json",
+            {
+                "sweep": {
+                    "experiment": "tesseral-caustic",
+                    "k_list": [20, 40, 80],
+                    "delta0": 1,
+                    "side": "allowed",
+                },
+            },
+        )
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        assert '"delta0": 1.0,' in (tmp_path / "tesseral-caustic.json").read_text()
 
 
 class TestConfigValidation:

@@ -1,6 +1,7 @@
 """Radial discretization, joint modes, and the disk cache."""
 
-import json
+import io
+import os
 
 import numpy as np
 import pytest
@@ -11,10 +12,12 @@ from qcilab import (
     assoc_legendre_norm,
     eigenpairs,
     load_modes,
+    profile_hash,
     save_modes,
     solve_modes,
     solve_modes_cached,
 )
+from qcilab import _atomic
 
 
 def _apply(system, v):
@@ -208,50 +211,130 @@ class TestModeCache:
             assert a.eigenvalue == b.eigenvalue
             assert np.array_equal(a.radial_values, b.radial_values)
 
+    def test_slot_is_one_npz_file_published_by_one_rename(
+        self, sphere, tmp_path, monkeypatch
+    ):
+        renames = []
 
-def _meta(edit):
-    def apply(text):
-        meta = json.loads(text)
-        edit(meta)
-        return json.dumps(meta)
+        def replace(src, dst):
+            renames.append(dst)
+            os.rename(src, dst)
+
+        monkeypatch.setattr(_atomic.os, "replace", replace)
+        modes = solve_modes(sphere, 2, 3, N=1024)
+        slot = save_modes(modes, str(tmp_path / "cache"))
+        assert renames == [slot]
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [os.path.basename(slot)]
+        assert slot.endswith("_k2_N1024.npz")
+        with np.load(slot) as data:
+            assert sorted(data.files) == ["N", "eigenvalues", "grid", "k", "profile", "radial"]
+            assert data["profile"].item() == sphere.canonical_text()
+            assert (data["k"].item(), data["N"].item()) == (2, 1024)
+            assert data["eigenvalues"].shape == (3,)
+            assert data["grid"].shape == (1024,)
+            assert data["radial"].shape == (3, 1024)
+
+    def test_saving_twice_gives_identical_bytes(self, sphere, tmp_path):
+        modes = solve_modes(sphere, 1, 2, N=1024)
+        first = save_modes(modes, str(tmp_path / "a"))
+        second = save_modes(modes, str(tmp_path / "b"))
+        with open(first, "rb") as a, open(second, "rb") as b:
+            assert a.read() == b.read()
+
+    def test_old_slot_directory_is_a_miss(self, sphere, tmp_path):
+        cache = tmp_path / "cache"
+        old = cache / f"{profile_hash(sphere)}_k1_N1024"
+        old.mkdir(parents=True)
+        (old / "meta.json").write_text('{"k": 1, "N": 1024, "count": 2}')
+        (old / "radial.csv").write_text("t,mode_0,mode_1\n")
+        assert load_modes(sphere, 1, 1024, 2, str(cache)) is None
+        _, hit = solve_modes_cached(sphere, 1, 2, N=1024, cache_dir=str(cache))
+        assert not hit
+        assert sorted(p.name for p in old.iterdir()) == ["meta.json", "radial.csv"]
+
+
+def _rewrite(**edits):
+    """Rewrite the slot with each named member replaced by edit(member), or dropped."""
+
+    def apply(raw):
+        with np.load(io.BytesIO(raw)) as slot:
+            members = dict(slot)
+        for name, edit in edits.items():
+            if edit is _DROP:
+                del members[name]
+            else:
+                members[name] = np.asarray(edit(members[name]))
+        buf = io.BytesIO()
+        np.savez(buf, **members)
+        return buf.getvalue()
 
     return apply
 
 
-def _rows(edit):
-    def apply(text):
-        lines = text.splitlines()
-        return "\n".join([lines[0]] + edit(lines[1:])) + "\n"
+_DROP = object()
+
+
+def _flip_radial_byte(raw):
+    with np.load(io.BytesIO(raw)) as slot:
+        data = slot["radial"].tobytes()
+    at = raw.index(data) + len(data) // 2
+    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :]
+
+
+def _central_header(offset, value):
+    """Set one byte of the zip's first central directory header."""
+
+    def apply(raw):
+        at = raw.index(b"PK\x01\x02") + offset
+        return raw[:at] + bytes([value]) + raw[at + 1 :]
 
     return apply
 
 
-# unparsable meta.json, a one-word radial.csv and too few columns are
-# covered end to end in test_cli
+# Each case damages the slot written for (sphere, k=1, N=1024, count=3).
+# The meta-* and csv-* ids name the damage to the two-file slot (meta.json
+# and radial.csv) that each case replaces: the metadata members, and the
+# grid and radial arrays.
 _CORRUPTIONS = {
-    "meta-missing-key": ("meta.json", _meta(lambda m: m.pop("eigenvalues"))),
-    "meta-not-an-object": ("meta.json", lambda text: "[1, 2]"),
-    "meta-few-eigenvalues": ("meta.json", _meta(lambda m: m["eigenvalues"].pop())),
-    "csv-unparsable": ("radial.csv", lambda text: text.replace("0", "x", 5)),
-    "csv-one-row": ("radial.csv", _rows(lambda rows: rows[:1])),
-    "csv-one-column": ("radial.csv", _rows(lambda rows: [r.split(",")[0] for r in rows])),
-    "csv-short-rows": ("radial.csv", _rows(lambda rows: rows[:-1])),
+    "meta-missing-key": _rewrite(eigenvalues=_DROP),
+    "meta-not-an-object": _rewrite(profile=lambda text: [1, 2]),
+    "meta-few-eigenvalues": _rewrite(eigenvalues=lambda a: a[:2], radial=lambda a: a[:2]),
+    "csv-unparsable": _flip_radial_byte,
+    "csv-one-row": _rewrite(grid=lambda a: a[:1], radial=lambda a: a[:, :1]),
+    "csv-one-column": _rewrite(radial=_DROP),
+    "csv-short-rows": _rewrite(grid=lambda a: a[:-1], radial=lambda a: a[:, :-1]),
+    "empty-file": lambda raw: b"",
+    "not-a-zip": lambda raw: b"t,mode_0\n0.5,garbage\n",
+    "truncated": lambda raw: raw[: len(raw) // 2],
+    "k-differs": _rewrite(k=lambda k: k + 1),
+    "N-differs": _rewrite(N=lambda N: 2 * N),
+    "profile-differs": _rewrite(profile=lambda text: str(text).replace("sphere", "polynomial-perturbed")),
+    "grid-short": _rewrite(grid=lambda a: a[:-1]),
+    "radial-transposed": _rewrite(radial=lambda a: a.T),
+    "eigenvalues-as-text": _rewrite(eigenvalues=lambda a: a.astype(str)),
+    # zipfile raises RuntimeError and NotImplementedError for these two,
+    # and the .npy header parser tokenize.TokenError for the third
+    "encryption-flag": _central_header(8, 1),
+    "unknown-compression": _central_header(10, 99),
+    "npy-header": lambda raw: raw.replace(b"'shape': (1024,)", b"'shape': )1024,)", 1),
 }
 
 
 class TestCorruptCacheSlot:
     @pytest.mark.parametrize("case", sorted(_CORRUPTIONS))
     def test_corrupt_slot_is_a_miss_and_is_rewritten(self, sphere, tmp_path, case):
-        name, edit = _CORRUPTIONS[case]
         cache = str(tmp_path / "cache")
         modes, _ = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
         (slot,) = (tmp_path / "cache").iterdir()
-        target = slot / name
-        target.write_text(edit(target.read_text()))
+        clean = slot.read_bytes()
+        slot.write_bytes(_CORRUPTIONS[case](clean))
+        assert slot.read_bytes() != clean
         assert load_modes(sphere, 1, 1024, 3, cache) is None
 
         again, hit = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
         assert not hit
+        assert [p.name for p in (tmp_path / "cache").iterdir()] == [slot.name]
+        assert slot.read_bytes() == clean
         reloaded = load_modes(sphere, 1, 1024, 3, cache)
         assert reloaded is not None
         for a, b in zip(modes, reloaded):

@@ -85,6 +85,13 @@ class TestParser:
         with pytest.raises(SymbolSyntaxError):
             parse_expr("t^-2")
 
+    @pytest.mark.parametrize("text, offset", [("1e999", 1), ("xi_t + 2.5e400 * t", 8)])
+    def test_overflowing_literal_rejected(self, text, offset):
+        with pytest.raises(SymbolSyntaxError) as exc:
+            parse_expr(text)
+        assert exc.value.offset == offset
+        assert "overflows to infinity" in str(exc.value)
+
 
 class TestEvalErrors:
     def test_division_by_zero_names_subexpression(self):
@@ -130,6 +137,43 @@ class TestEvalErrors:
             eval_expr(parse_expr(text), env, None)
         assert str(exc.value) == message
 
+
+    @pytest.mark.parametrize(
+        "text, env, message",
+        [
+            # f^2 < 0 off the chart, and fp divides by f = 0 at its ends
+            (
+                "xi_t + f(xi_t)",
+                {"xi_t": np.array([0.5, 1.5])},
+                "invalid value encountered in sqrt in 'xi_t + f(xi_t)'",
+            ),
+            ("fp(t)", {"t": np.array([0.0, -1.0])}, "divide by zero encountered in divide in 'fp(t)'"),
+            (
+                "(t + 1e308)^2",
+                {"t": np.array([0.0, 1.0])},
+                "overflow encountered in square in '(t + 1e+308)^2'",
+            ),
+            (
+                "xi_t + (1e308)^2",
+                {"xi_t": 0.5},
+                "overflow encountered in scalar power in 'xi_t + 1e+308^2'",
+            ),
+            ("t * t", {"t": 1e200}, "overflow encountered in scalar multiply in 't * t'"),
+            (
+                "sin(xi_t * 1e308 * 10)",
+                {"xi_t": np.array([1.0])},
+                "overflow encountered in multiply in 'sin(xi_t * 1e+308 * 10)'",
+            ),
+        ],
+    )
+    def test_floating_point_errors_are_domain_errors(self, sphere, text, env, message):
+        with pytest.raises(SymbolDomainError) as exc:
+            compile_expr(parse_expr(text), sphere)(**env)
+        assert str(exc.value) == message
+
+    def test_profile_builtins_reach_the_chart_ends(self, sphere):
+        f = compile_expr(parse_expr("f(t)"), sphere)
+        assert f(t=np.array([-1.0, 1.0])).tolist() == [0.0, 0.0]
 
 # strategies for random well-formed expression trees
 _leaf = st.one_of(
