@@ -13,138 +13,28 @@ The package answers two linked questions at desk scale:
    not? See `sweep` for the experiment harness, `specfun` and
    `eigensolve` for the eigenfunctions, `lineintegral` for the
    oscillation-resolved quadrature.
+
+The public names are each module's `__all__`; this package re-exports
+them all.
 """
 
-from .admissibility import (
-    AdmissibilityReport,
-    EnergyPair,
-    FiberError,
-    check_admissible,
-    check_principal_type,
-    fiber_points,
-)
-from .eigensolve import (
-    JointEigenfunction,
-    RadialOperator,
-    assemble_operator,
-    eigenpairs,
-    load_modes,
-    profile_hash,
-    save_modes,
-    solve_modes,
-    solve_modes_cached,
-)
-from .geometry import (
-    Geodesic,
-    GeodesicError,
-    ProfileError,
-    ProfileFunction,
-    latitude_arc,
-    longitude_arc,
-    make_profile,
-)
-from .lineintegral import (
-    PanelCountError,
-    QuadratureSpec,
-    integrate_adaptive,
-    integrate_restriction,
-)
-from .specfun import (
-    HarmonicIndex,
-    assoc_legendre_norm,
-    legendre_P,
-    legendre_P0,
-    szego_main_term,
-    turning_points,
-)
-from .sweep import (
-    EXPERIMENTS,
-    FitError,
-    FitResult,
-    ReportFormatError,
-    SweepReport,
-    SweepRow,
-    fit_decay,
-    load_report,
-    run_tesseral_sweep,
-    run_transition_peak_sweep,
-    run_zonal_sweep,
-    save_report,
-)
-from .symbol_dsl import (
-    BUILTIN_P1_TEXT,
-    BUILTIN_P2_TEXT,
-    BUILTINS,
-    VARIABLES,
-    MomentMap,
-    SymbolDomainError,
-    SymbolNameError,
-    SymbolSyntaxError,
-    builtin_moment_map,
-    eval_expr,
-    format_expr,
-    moment_map_from_config,
-    parse_expr,
-)
+from . import admissibility, eigensolve, geometry, lineintegral, specfun, sweep, symbol_dsl
+from .admissibility import *  # noqa: F403
+from .eigensolve import *  # noqa: F403
+from .geometry import *  # noqa: F403
+from .lineintegral import *  # noqa: F403
+from .specfun import *  # noqa: F403
+from .sweep import *  # noqa: F403
+from .symbol_dsl import *  # noqa: F403
 
 __version__ = "0.1.0"
 
 __all__ = [
-    "AdmissibilityReport",
-    "EnergyPair",
-    "FiberError",
-    "check_admissible",
-    "check_principal_type",
-    "fiber_points",
-    "JointEigenfunction",
-    "RadialOperator",
-    "assemble_operator",
-    "eigenpairs",
-    "load_modes",
-    "profile_hash",
-    "save_modes",
-    "solve_modes",
-    "solve_modes_cached",
-    "Geodesic",
-    "GeodesicError",
-    "ProfileError",
-    "ProfileFunction",
-    "latitude_arc",
-    "longitude_arc",
-    "make_profile",
-    "PanelCountError",
-    "QuadratureSpec",
-    "integrate_adaptive",
-    "integrate_restriction",
-    "HarmonicIndex",
-    "assoc_legendre_norm",
-    "legendre_P",
-    "legendre_P0",
-    "szego_main_term",
-    "turning_points",
-    "EXPERIMENTS",
-    "FitError",
-    "FitResult",
-    "ReportFormatError",
-    "SweepReport",
-    "SweepRow",
-    "fit_decay",
-    "load_report",
-    "run_tesseral_sweep",
-    "run_transition_peak_sweep",
-    "run_zonal_sweep",
-    "save_report",
-    "BUILTIN_P1_TEXT",
-    "BUILTIN_P2_TEXT",
-    "BUILTINS",
-    "VARIABLES",
-    "MomentMap",
-    "SymbolDomainError",
-    "SymbolNameError",
-    "SymbolSyntaxError",
-    "builtin_moment_map",
-    "eval_expr",
-    "format_expr",
-    "moment_map_from_config",
-    "parse_expr",
+    *admissibility.__all__,
+    *eigensolve.__all__,
+    *geometry.__all__,
+    *lineintegral.__all__,
+    *specfun.__all__,
+    *sweep.__all__,
+    *symbol_dsl.__all__,
 ]

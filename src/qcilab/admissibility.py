@@ -46,7 +46,6 @@ __all__ = [
     "FiberError",
     "EnergyPair",
     "AdmissibilityReport",
-    "fiber_points",
     "check_principal_type",
     "check_admissible",
 ]
@@ -223,40 +222,24 @@ def _bisect(rays: _Rays, lo, hi):
     A ray stops at the first midpoint within _FIBER_TOL of the level set.
     Otherwise it stops once its bracket is narrower than 1e-15 max(1, hi),
     or after 200 halvings, and keeps its last midpoint if that meets the
-    tolerance (NaN if not). Each evaluation looks three halvings ahead:
-    it holds the 7 midpoints those halvings can reach.
+    tolerance (NaN if not). Each evaluation halves every live bracket once.
     """
     radii = np.full(len(rays), np.nan)
     g_lo = rays.residual(lo).copy()
     live = np.arange(len(rays))
-    halvings = 0
-    while live.size and halvings < 200:
-        # the midpoints the next three halvings can reach: level d holds
-        # 2^d brackets, and bracket j splits into 2j (its lower half) and
-        # 2j + 1 (its upper half)
-        a, b, mids = lo[live][None], hi[live][None], []
-        for _ in range(3):
-            m = 0.5 * (a + b)
-            mids.append(m)
-            a = np.stack([a, m], axis=1).reshape(-1, len(live))
-            b = np.stack([m, b], axis=1).reshape(-1, len(live))
-        g_mids = np.split(rays[live].residual(np.concatenate(mids)), [1, 3])
-        j, going = np.zeros(len(live), dtype=int), np.ones(len(live), dtype=bool)
-        for d in range(min(3, 200 - halvings)):
-            i = np.flatnonzero(going)
-            k = live[i]
-            mid, g_mid = mids[d][j[i], i], g_mids[d][j[i], i]
-            hit = np.abs(g_mid) <= _FIBER_TOL
-            radii[k[hit]] = mid[hit]
-            below = g_lo[k] * g_mid < 0
-            hi[k] = np.where(below, mid, hi[k])
-            lo[k] = np.where(below, lo[k], mid)
-            g_lo[k] = np.where(below, g_lo[k], g_mid)
-            narrow = hi[k] - lo[k] < 1e-15 * np.maximum(1.0, hi[k])
-            going[i] = ~hit & ~narrow
-            j[i] = 2 * j[i] + ~below
-            halvings += 1
-        live = live[going]
+    for _ in range(200):
+        if not live.size:
+            break
+        mid = 0.5 * (lo[live] + hi[live])
+        g_mid = rays[live].residual(mid)
+        hit = np.abs(g_mid) <= _FIBER_TOL
+        radii[live[hit]] = mid[hit]
+        below = g_lo[live] * g_mid < 0
+        hi[live] = np.where(below, mid, hi[live])
+        lo[live] = np.where(below, lo[live], mid)
+        g_lo[live] = np.where(below, g_lo[live], g_mid)
+        narrow = hi[live] - lo[live] < 1e-15 * np.maximum(1.0, hi[live])
+        live = live[~hit & ~narrow]
     rest = np.flatnonzero(np.isnan(radii))
     if rest.size:
         r = 0.5 * (lo[rest] + hi[rest])
@@ -334,7 +317,8 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, seeds=None, prev=None)
     at tau). Without, the rows are walked (_walk): each seeded from the row
     before, the first from prev, the last fiber of the previous block; the
     first row of an arc (prev None) comes from the scan. Rays Newton
-    cannot place go to the scan either way.
+    cannot place go to the scan either way. A row whose rays all miss
+    raises FiberError, so every row holds a finite point.
     """
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
@@ -373,39 +357,6 @@ def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
         xi_t, xi_phi, radii = _fibers(map_, t, phi, E1, sigmas, prev=last)
         last = radii[-1]
         yield rows, t, phi, xi_t, xi_phi, radii
-
-
-def fiber_points(map_: MomentMap, x, E1: float, n: int):
-    """Sample the fiber {xi : p1(x, xi) = E1} over base point x = (t, phi).
-
-    Parameters
-    ----------
-    map_ : MomentMap
-    x : (float, float)
-        Base point (t, phi) with t interior.
-    E1 : float
-    n : int
-        Number of fiber angles, n >= 4.
-
-    Returns
-    -------
-    list of (xi_t, xi_phi)
-        The points r (cos sigma, f(t) sin sigma) at n equally spaced
-        angles sigma, with r = sqrt(E1) for the built-in symbol and
-        root-found (|p1 - E1| <= 1e-10) for DSL symbols. Rays that do
-        not cross the level set are omitted.
-
-    Raises
-    ------
-    FiberError
-        When no ray crosses the level set.
-    """
-    if n < 4:
-        raise ValueError("need at least 4 fiber angles")
-    t, phi = np.array([float(x[0])]), np.array([float(x[1])])
-    xi_t, xi_phi, _ = _fibers(map_, t, phi, E1, _angles(n))
-    keep = np.isfinite(xi_t[0]) & np.isfinite(xi_phi[0])
-    return [(float(a), float(b)) for a, b in zip(xi_t[0][keep], xi_phi[0][keep])]
 
 
 # -- principal type -----------------------------------------------------------
@@ -473,6 +424,11 @@ def check_admissible(
         verdict "admissible" iff the band is non-empty, p1 is of real
         principal type on C_gamma, and the minimum |d p2/d tau| over the
         band exceeds the threshold. An empty band is its own verdict.
+
+    Raises
+    ------
+    FiberError
+        When the level set p1 = E1 misses every ray of some fiber.
     """
     n_tau, n_fiber = int(grid[0]), int(grid[1])
     if n_tau < 32 or n_fiber < 32:
@@ -506,10 +462,6 @@ def check_admissible(
         principal_ok = principal_ok and _principal_ok(map_, t, phi, xi_t, xi_phi)
         t_m[rows], phi_m[rows], xt[rows], xp[rows] = t, phi, xi_t, xi_phi
 
-    alive = np.isfinite(p2_mid)
-    if not alive.any():
-        raise FiberError("empty fiber along the whole arc")
-
     scale = float(np.nanmax(np.abs(p2_mid)))
     if energies.epsilon is not None:
         eps = float(energies.epsilon)
@@ -519,34 +471,24 @@ def check_admissible(
             eps = 0.05 * max(scale, 1.0)
     thr = float(threshold) if threshold is not None else 1e-3 * (scale if scale > 0.0 else 1.0)
 
-    band = alive & (np.abs(p2_mid - energies.E2) < eps) & np.isfinite(deriv)
-
-    if not band.any():
-        return AdmissibilityReport(
-            verdict="empty-band",
-            min_derivative=None,
-            witness=None,
-            principal_type_ok=principal_ok,
-            grid=(n_tau, n_fiber),
-            threshold=thr,
-            epsilon=eps,
-        )
-
-    absd = np.where(band, np.abs(deriv), np.inf)
-    flat = int(np.argmin(absd))
-    i, j = np.unravel_index(flat, absd.shape)
-    min_der = float(absd[i, j])
-    witness = {
-        "tau": float(taus[i]),
-        "sigma": float(sigmas[j]),
-        "t": float(t_m[i]),
-        "phi": float(phi_m[i]),
-        "xi_t": float(xt[i, j]),
-        "xi_phi": float(xp[i, j]),
-        "p2": float(p2_mid[i, j]),
-        "derivative": float(deriv[i, j]),
-    }
-    verdict = "admissible" if (min_der > thr and principal_ok) else "not-admissible"
+    # NaN p2 (a ray that missed) and NaN derivatives fall outside the band
+    band = (np.abs(p2_mid - energies.E2) < eps) & np.isfinite(deriv)
+    verdict, min_der, witness = "empty-band", None, None
+    if band.any():
+        absd = np.where(band, np.abs(deriv), np.inf)
+        i, j = np.unravel_index(int(np.argmin(absd)), absd.shape)
+        min_der = float(absd[i, j])
+        witness = {
+            "tau": float(taus[i]),
+            "sigma": float(sigmas[j]),
+            "t": float(t_m[i]),
+            "phi": float(phi_m[i]),
+            "xi_t": float(xt[i, j]),
+            "xi_phi": float(xp[i, j]),
+            "p2": float(p2_mid[i, j]),
+            "derivative": float(deriv[i, j]),
+        }
+        verdict = "admissible" if (min_der > thr and principal_ok) else "not-admissible"
     return AdmissibilityReport(
         verdict=verdict,
         min_derivative=min_der,

@@ -24,7 +24,7 @@ import numpy as np
 
 from . import admissibility, eigensolve, geometry, sweep, symbol_dsl
 from .lineintegral import PanelCountError, QuadratureSpec, integrate_adaptive
-from .specfun import HarmonicIndex, assoc_legendre_norm
+from .specfun import HarmonicIndex
 
 EXIT_OK = 0
 EXIT_CONFIG = 2
@@ -180,11 +180,7 @@ def cmd_integrate(args) -> int:
         raise ConfigError("integrate needs l >= 1")
     geod = _geodesic(cfg, profile)
     quad = _quadrature(cfg)
-
-    def u(t, phi):
-        return assoc_legendre_norm(idx.l, idx.k, t) * np.exp(1j * idx.k * np.asarray(phi))
-
-    value, estimate = integrate_adaptive(u, geod, quad, idx.h)
+    value, estimate = integrate_adaptive(idx, geod, quad, idx.h)
     print(f"re={value.real!r} im={value.imag!r} abs={abs(value)!r} err_est={estimate!r}")
     return EXIT_OK
 

@@ -119,10 +119,6 @@ class ProfileFunction:
     def as_json(self) -> dict:
         return {"kind": self.kind, "coefficients": list(self.coefficients)}
 
-    @staticmethod
-    def from_json(obj: dict) -> "ProfileFunction":
-        return make_profile(obj["kind"], list(obj.get("coefficients", [])))
-
     def canonical_text(self) -> str:
         """Stable serialized form, used for cache keys."""
         return json.dumps(self.as_json(), sort_keys=True, separators=(",", ":"))

@@ -43,10 +43,12 @@ _BIGI = 2.0**-512
 
 @dataclass(frozen=True)
 class HarmonicIndex:
-    """Sphere mode indices: degree l, order k, and the small parameter h.
+    """Sphere mode u = N_l^k(t) e^{i k phi}: degree l, order k, and h.
 
     The eigenvalue of the mode is l(l+1) and h = 1/sqrt(l(l+1)), so the
     first quantum energy h^2 l(l+1) is exactly 1. h is None for l = 0.
+    It offers k, h, eigenvalue and value(t, phi), as an eigensolved
+    JointEigenfunction does.
     """
 
     l: int
@@ -65,6 +67,10 @@ class HarmonicIndex:
     @property
     def eigenvalue(self) -> float:
         return float(self.l * (self.l + 1))
+
+    def value(self, t, phi):
+        """u(t, phi), complex; vectorized over broadcastable inputs."""
+        return assoc_legendre_norm(self.l, self.k, t) * np.exp(1j * self.k * np.asarray(phi))
 
 
 def legendre_P(k: int, x):

@@ -21,6 +21,7 @@ Three stock experiments:
 from __future__ import annotations
 
 import json
+import math
 import os
 import warnings
 from dataclasses import dataclass
@@ -45,6 +46,7 @@ __all__ = [
     "run_transition_peak_sweep",
     "save_report",
     "load_report",
+    "EXPERIMENTS",
 ]
 
 EXPERIMENTS = ("zonal-equator", "tesseral-caustic", "transition-peak", "custom")
@@ -133,12 +135,11 @@ def fit_decay(points) -> FitResult:
     return FitResult(float(slope), float(logc), float(r2))
 
 
-def _fit_rows(rows) -> FitResult:
-    return fit_decay([(r.h, r.abs_I) for r in rows])
-
-
-def _sorted_rows(rows):
-    return tuple(sorted(rows, key=lambda r: -r.h))
+def _report(experiment: str, rows, **extra) -> SweepReport:
+    """The rows sorted by decreasing h, with their decay fit."""
+    rows = tuple(sorted(rows, key=lambda r: -r.h))
+    fit = fit_decay([(r.h, r.abs_I) for r in rows])
+    return SweepReport(experiment, rows, fit.slope, fit.intercept_logC, fit.r_squared, **extra)
 
 
 def run_zonal_sweep(k_list, arc: Geodesic) -> SweepReport:
@@ -167,15 +168,7 @@ def run_zonal_sweep(k_list, arc: Geodesic) -> SweepReport:
         value = L * np.sqrt((2 * k + 1) / (4.0 * np.pi)) * legendre_P0(k)
         return SweepRow(k=k, l=k, h=idx.h, abs_I=abs(value), re_I=value, im_I=0.0)
 
-    rows = _sorted_rows(row(k) for k in k_list)
-    fit = _fit_rows(rows)
-    return SweepReport(
-        experiment="zonal-equator",
-        rows=rows,
-        slope=fit.slope,
-        intercept_logC=fit.intercept_logC,
-        r_squared=fit.r_squared,
-    )
+    return _report("zonal-equator", (row(k) for k in k_list))
 
 
 def run_tesseral_sweep(
@@ -218,26 +211,13 @@ def run_tesseral_sweep(
             if hi >= np.pi:
                 raise ValueError(f"delta0 = {delta0} too large at k = {k}")
         arc = longitude_arc(profile, (float(np.cos(hi)), float(np.cos(lo))), 0.0)
-
-        def u(t, phi):
-            return assoc_legendre_norm(idx.l, idx.k, t) * np.exp(1j * idx.k * phi)
-
-        value = integrate_restriction(u, arc, quadrature, idx.h)
+        value = integrate_restriction(idx, arc, quadrature, idx.h)
         return SweepRow(
             k=k, l=idx.l, h=idx.h, abs_I=abs(value), re_I=value.real, im_I=value.imag
         )
 
-    rows = _sorted_rows(row(k) for k in k_list)
-    fit = _fit_rows(rows)
-    return SweepReport(
-        experiment="tesseral-caustic",
-        rows=rows,
-        slope=fit.slope,
-        intercept_logC=fit.intercept_logC,
-        r_squared=fit.r_squared,
-        delta0=delta0,
-        quadrature=quadrature,
-    )
+    rows = (row(k) for k in k_list)
+    return _report("tesseral-caustic", rows, delta0=delta0, quadrature=quadrature)
 
 
 def run_transition_peak_sweep(
@@ -263,15 +243,7 @@ def run_transition_peak_sweep(
             k=k, l=idx.l, h=idx.h, abs_I=float(abs(vals[j])), re_I=float(vals[j]), im_I=0.0
         )
 
-    rows = _sorted_rows(row(k) for k in k_list)
-    fit = _fit_rows(rows)
-    return SweepReport(
-        experiment="transition-peak",
-        rows=rows,
-        slope=fit.slope,
-        intercept_logC=fit.intercept_logC,
-        r_squared=fit.r_squared,
-    )
+    return _report("transition-peak", (row(k) for k in k_list))
 
 
 # -- persistence ----------------------------------------------------------------
@@ -343,18 +315,25 @@ def load_report(csv_path: str) -> SweepReport:
                 f"{csv_path}: line {n}: expected 6 fields, found {len(parts)}"
             )
         try:
-            rows.append(
-                SweepRow(
-                    k=int(parts[0]),
-                    l=int(parts[1]),
-                    h=float(parts[2]),
-                    abs_I=float(parts[3]),
-                    re_I=float(parts[4]),
-                    im_I=float(parts[5]),
-                )
+            row = SweepRow(
+                k=int(parts[0]),
+                l=int(parts[1]),
+                h=float(parts[2]),
+                abs_I=float(parts[3]),
+                re_I=float(parts[4]),
+                im_I=float(parts[5]),
             )
         except ValueError as exc:
             raise ReportFormatError(f"{csv_path}: line {n}: {exc}") from exc
+        # plotdata takes log h and log |I|, so h > 0 and |I| >= 0 (zero
+        # rows are skipped there), and no value may be NaN or infinite
+        values = (row.h, row.abs_I, row.re_I, row.im_I)
+        if not (row.h > 0.0 and row.abs_I >= 0.0 and all(map(math.isfinite, values))):
+            raise ReportFormatError(
+                f"{csv_path}: line {n}: need finite values with h > 0 and abs_I >= 0, "
+                f"found {line!r}"
+            )
+        rows.append(row)
     with open(sidecar) as fh:
         try:
             meta = json.load(fh)

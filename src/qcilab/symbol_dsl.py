@@ -14,9 +14,8 @@ the surface profile and fp its derivative, so symbols can reference the
 metric without hardcoding a profile.
 
 Error positions are reported as 1-based byte offsets into the source
-string. compile_expr turns an AST into one numpy function, once; it
-evaluates on scalars or numpy arrays alike, and eval_expr is a one-off
-call of it.
+string. compile_expr turns an AST into one numpy function, once; it is
+the one evaluator, and takes scalars or numpy arrays alike.
 """
 
 from __future__ import annotations
@@ -38,11 +37,13 @@ __all__ = [
     "parse_expr",
     "format_expr",
     "compile_expr",
-    "eval_expr",
     "MomentMap",
     "builtin_moment_map",
+    "moment_map_from_config",
     "BUILTIN_P1_TEXT",
     "BUILTIN_P2_TEXT",
+    "BUILTINS",
+    "VARIABLES",
 ]
 
 VARIABLES = ("t", "phi", "xi_t", "xi_phi")
@@ -358,26 +359,6 @@ def _compile(node: Expr, profile: ProfileFunction):
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def eval_expr(node: Expr, env: dict, profile: ProfileFunction):
-    """Evaluate an AST on an environment of scalars or numpy arrays.
-
-    Parameters
-    ----------
-    node : Expr
-    env : dict
-        Values for t, phi, xi_t, xi_phi (missing names evaluate to 0.0).
-    profile : ProfileFunction
-        Supplies the builtins f and fp.
-
-    Raises
-    ------
-    SymbolDomainError
-        On division by zero or sqrt of a negative, naming the offending
-        sub-expression.
-    """
-    return compile_expr(node, profile)(*(env.get(name, 0.0) for name in VARIABLES))
-
-
 # -- moment maps ---------------------------------------------------------------
 
 
@@ -406,10 +387,6 @@ class MomentMap:
     @property
     def is_builtin_p1(self) -> bool:
         return self.p1_expr is None
-
-    @property
-    def is_builtin_p2(self) -> bool:
-        return self.p2_expr is None
 
     def p1(self, t, phi, xi_t, xi_phi):
         if self.p1_expr is None:

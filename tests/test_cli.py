@@ -2,6 +2,7 @@
 
 import io
 import json
+import math
 import os
 import subprocess
 import sys
@@ -10,7 +11,7 @@ import numpy as np
 import pytest
 
 import qcilab
-from qcilab import cli, load_report
+from qcilab import cli, latitude_arc, load_report, make_profile, run_zonal_sweep
 
 
 def write_config(tmp_path, name, payload):
@@ -254,6 +255,33 @@ class TestIntegrateCommand:
         assert float(fields["re"]) == pytest.approx(expect, rel=1e-9)
         assert float(fields["err_est"]) <= 1e-10
 
+    @pytest.mark.parametrize(
+        "profile, l, error",
+        [
+            (
+                {"kind": "polynomial-perturbed", "coefficients": [1.0, 0.2]},
+                40,
+                "integrate uses the exact sphere mode family; profile must be sphere",
+            ),
+            (SPHERE, 0, "integrate needs l >= 1"),
+        ],
+        ids=["perturbed-profile", "constant-mode"],
+    )
+    def test_unsupported_mode_is_a_config_error(self, tmp_path, capsys, profile, l, error):
+        cfg = write_config(
+            tmp_path,
+            "single.json",
+            {
+                "profile": profile,
+                "geodesic": {"kind": "longitude", "t_range": [0.3, 0.8]},
+                "integrate": {"l": l, "k": 0},
+            },
+        )
+        assert cli.main(["integrate", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: {error}"]
+
 
 class TestSweepCommand:
     def test_zonal_sweep_writes_report(self, tmp_path, capsys):
@@ -275,6 +303,22 @@ class TestSweepCommand:
         report = load_report(str(tmp_path / "zonal-equator.csv"))
         assert len(report.rows) == 4
         assert abs(report.slope) <= 0.05
+
+    def test_zonal_sweep_on_the_configured_arc(self, tmp_path, capsys):
+        phi_range = [0.5, 2.5]
+        cfg = write_config(
+            tmp_path,
+            "zonal.json",
+            {
+                "profile": SPHERE,
+                "geodesic": {"kind": "equator-latitude", "phi_range": phi_range},
+                "sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]},
+            },
+        )
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 0
+        arc = latitude_arc(make_profile("sphere", []), tuple(phi_range))
+        expect = run_zonal_sweep([100, 200, 300], arc)
+        assert load_report(str(tmp_path / "zonal-equator.csv")) == expect
 
     def test_tesseral_sweep_named_output(self, tmp_path, capsys):
         cfg = write_config(
@@ -394,6 +438,41 @@ class TestPlotdataCommand:
         )
         assert cli.main(["plotdata", str(tmp_path / "bad.csv")]) == 2
         assert "line 2" in capsys.readouterr().err
+
+    @pytest.mark.parametrize(
+        "row",
+        [
+            "10,20,-0.05,0.1,0.1,0.0",
+            "10,20,0.0,0.1,0.1,0.0",
+            "10,20,nan,0.1,0.1,0.0",
+            "10,20,inf,0.1,0.1,0.0",
+            "10,20,0.05,inf,0.1,0.0",
+            "10,20,0.05,nan,0.1,0.0",
+            "10,20,0.05,-0.1,0.1,0.0",
+            "10,20,0.05,0.1,nan,0.0",
+            "10,20,0.05,0.1,0.1,-inf",
+        ],
+    )
+    def test_unplottable_row_exits_config_error(self, tmp_path, capsys, row):
+        csv = tmp_path / "r.csv"
+        csv.write_text(f"k,l,h,abs_I,re_I,im_I\n10,20,0.05,0.1,0.1,0.0\n{row}\n")
+        (tmp_path / "r.json").write_text(json.dumps(_SIDECAR))
+        assert cli.main(["plotdata", str(csv)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        (line,) = captured.err.splitlines()
+        assert line.startswith(f"error: {csv}: line 3: ")
+
+    def test_zero_magnitude_row_is_skipped(self, tmp_path, capsys):
+        csv = tmp_path / "r.csv"
+        csv.write_text("k,l,h,abs_I,re_I,im_I\n10,20,0.05,0.1,0.1,0.0\n12,24,0.04,0.0,0.0,0.0\n")
+        (tmp_path / "r.json").write_text(json.dumps(_SIDECAR))
+        assert cli.main(["plotdata", str(csv)]) == 0
+        captured = capsys.readouterr()
+        assert captured.err == ""
+        assert "# skipped 1 rows with |I| = 0" in captured.out
+        data = [ln for ln in captured.out.splitlines() if not ln.startswith("#")]
+        assert data == [f"{math.log(0.05)!r} {math.log(0.1)!r}"]
 
 
 _SIDECAR = {
@@ -552,6 +631,28 @@ class TestConfigValidation:
         path = tmp_path / "broken.json"
         path.write_text("{ not json")
         assert cli.main(["admissible", "--config", str(path)]) == 2
+
+    @pytest.mark.parametrize(
+        "command, cfg, section",
+        [
+            ("admissible", {"geodesic": {"kind": "longitude", "t_range": [0.3, 0.8]}}, "profile"),
+            ("admissible", {"profile": SPHERE}, "geodesic"),
+            (
+                "admissible",
+                {"profile": SPHERE, "geodesic": {"kind": "longitude", "t_range": [0.3, 0.8]}},
+                "energies",
+            ),
+            ("eigen", {"profile": SPHERE}, "eigen"),
+            ("integrate", {"profile": SPHERE}, "integrate"),
+            ("sweep", {"profile": SPHERE}, "sweep"),
+        ],
+    )
+    def test_missing_section_is_a_config_error(self, tmp_path, capsys, command, cfg, section):
+        path = write_config(tmp_path, "partial.json", cfg)
+        assert cli.main([command, "--config", path, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [f"error: config is missing the '{section}' section"]
 
     def test_schema_type_violation_names_the_path(self, tmp_path, capsys):
         cfg = write_config(

@@ -9,9 +9,12 @@ from scipy.special import gammaln, lpmv, roots_legendre
 
 from qcilab import (
     HarmonicIndex,
+    QuadratureSpec,
     assoc_legendre_norm,
+    integrate_restriction,
     legendre_P,
     legendre_P0,
+    longitude_arc,
     szego_main_term,
     turning_points,
 )
@@ -35,6 +38,25 @@ class TestHarmonicIndex:
     def test_negative_order_rejected(self):
         with pytest.raises(ValueError):
             HarmonicIndex(3, -1)
+
+    def test_value_is_the_normalized_sphere_mode(self):
+        idx = HarmonicIndex(40, 17)
+        t, phi = np.linspace(-0.9, 0.9, 7), np.linspace(0.0, 6.0, 7)
+        expect = assoc_legendre_norm(40, 17, t) * np.exp(17j * phi)
+        np.testing.assert_array_equal(idx.value(t, phi), expect)
+        assert idx.value(0.3, 1.2) == assoc_legendre_norm(40, 17, 0.3) * np.exp(17j * 1.2)
+
+    def test_integrates_like_its_closure(self, sphere):
+        # integrate_restriction unwraps .value, so the index itself is the integrand
+        idx = HarmonicIndex(60, 30)
+        arc = longitude_arc(sphere, (0.2, 0.7), 0.4)
+
+        def u(t, phi):
+            return assoc_legendre_norm(60, 30, t) * np.exp(30j * np.asarray(phi))
+
+        spec = QuadratureSpec()
+        expect = integrate_restriction(u, arc, spec, idx.h)
+        assert integrate_restriction(idx, arc, spec, idx.h) == expect
 
 
 class TestLegendreP:

@@ -13,16 +13,15 @@ from qcilab import (
     SymbolNameError,
     SymbolSyntaxError,
     builtin_moment_map,
-    eval_expr,
+    compile_expr,
     format_expr,
     moment_map_from_config,
     parse_expr,
 )
-from qcilab.symbol_dsl import compile_expr
 
 
 def ev(text, profile=None, **env):
-    return eval_expr(parse_expr(text), env, profile)
+    return compile_expr(parse_expr(text), profile)(**env)
 
 
 class TestParser:
@@ -99,6 +98,10 @@ class TestEvalErrors:
             ev("1/(t - t)", t=1.0)
         assert "t - t" in str(exc.value)
 
+    def test_sqrt_of_nonnegative(self):
+        assert ev("sqrt(t^2 + 9)", t=4.0) == 5.0
+        np.testing.assert_array_equal(ev("sqrt(xi_t)", xi_t=np.array([0.0, 2.25])), [0.0, 1.5])
+
     def test_sqrt_of_negative(self):
         with pytest.raises(SymbolDomainError):
             ev("sqrt(0 - t^2)", t=2.0)
@@ -132,9 +135,6 @@ class TestEvalErrors:
         # tree-walking evaluator gave
         with pytest.raises(SymbolDomainError) as exc:
             compile_expr(parse_expr(text), None)(**env)
-        assert str(exc.value) == message
-        with pytest.raises(SymbolDomainError) as exc:
-            eval_expr(parse_expr(text), env, None)
         assert str(exc.value) == message
 
 
@@ -229,7 +229,7 @@ class TestMomentMap:
         assert sphere_map.p2(0.6, 0.0, 1.0, 0.5) == 0.5
 
     def test_builtin_flags(self, sphere_map):
-        assert sphere_map.is_builtin_p1 and sphere_map.is_builtin_p2
+        assert sphere_map.is_builtin_p1 and sphere_map.p2_expr is None
 
     def test_symbols_are_compiled_once(self, sphere, monkeypatch):
         import qcilab.symbol_dsl as dsl
@@ -250,7 +250,7 @@ class TestMomentMap:
 
     def test_parsed_builtin_text_matches_builtin(self, sphere, sphere_map):
         parsed = moment_map_from_config(sphere, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
-        assert not (parsed.is_builtin_p1 or parsed.is_builtin_p2)
+        assert not (parsed.is_builtin_p1 or parsed.p2_expr is None)
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.9, 0.9, (1000, 4))
         pts[:, 1] *= np.pi
@@ -272,5 +272,5 @@ class TestMomentMap:
 
     def test_builtin_defaults_when_text_none(self, sphere):
         m = moment_map_from_config(sphere, None, None)
-        assert m.is_builtin_p1 and m.is_builtin_p2
+        assert m.is_builtin_p1 and m.p2_expr is None
         assert m == builtin_moment_map(sphere)
