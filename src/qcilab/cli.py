@@ -23,7 +23,7 @@ from importlib import resources
 import numpy as np
 
 from . import admissibility, eigensolve, geometry, sweep, symbol_dsl
-from .lineintegral import PanelCountError, QuadratureSpec, integrate_adaptive
+from .lineintegral import QuadratureSpec, integrate_adaptive
 from .specfun import HarmonicIndex
 
 EXIT_OK = 0
@@ -82,6 +82,18 @@ def _need(cfg: dict, section: str) -> dict:
 def _profile(cfg: dict) -> geometry.ProfileFunction:
     spec = _need(cfg, "profile")
     return geometry.make_profile(spec["kind"], spec.get("coefficients", []))
+
+
+def _sphere(cfg: dict, command: str) -> geometry.ProfileFunction:
+    """The config's profile, which must be the sphere.
+
+    integrate and the sweeps evaluate the exact sphere modes
+    N_l^k(t) e^{i k phi}, which are not eigenfunctions of any other profile.
+    """
+    profile = _profile(cfg)
+    if profile.kind != "sphere":
+        raise ConfigError(f"{command} uses the exact sphere mode family; profile must be sphere")
+    return profile
 
 
 def _moment_map(cfg: dict, profile) -> symbol_dsl.MomentMap:
@@ -171,9 +183,7 @@ def cmd_eigen(args) -> int:
 
 def cmd_integrate(args) -> int:
     cfg = load_config(args.config)
-    profile = _profile(cfg)
-    if profile.kind != "sphere":
-        raise ConfigError("integrate uses the exact sphere mode family; profile must be sphere")
+    profile = _sphere(cfg, "integrate")
     spec = _need(cfg, "integrate")
     idx = HarmonicIndex(l=int(spec["l"]), k=int(spec["k"]))
     if idx.h is None:
@@ -190,29 +200,26 @@ def cmd_sweep(args) -> int:
     spec = _need(cfg, "sweep")
     experiment = spec["experiment"]
     ks = _k_list(spec)
+    if experiment == "custom":
+        raise ConfigError(
+            "experiment 'custom' labels externally built reports; it cannot be dispatched"
+        )
+    # a sweep config may leave the profile out; it then means the sphere
+    profile = _sphere({"profile": {"kind": "sphere"}, **cfg}, f"sweep experiment '{experiment}'")
 
     if experiment == "zonal-equator":
-        profile = _profile(cfg) if "profile" in cfg else geometry.make_profile("sphere", [])
         if "geodesic" in cfg:
             arc = _geodesic(cfg, profile)
         else:
             arc = geometry.latitude_arc(profile, (0.0, np.pi / 3.0))
         report = sweep.run_zonal_sweep(ks, arc)
     elif experiment == "tesseral-caustic":
-        profile = _profile(cfg) if "profile" in cfg else None
         report = sweep.run_tesseral_sweep(
-            ks,
-            profile=profile,
-            quadrature=_quadrature(cfg),
-            **_given(spec, {"delta0": float, "side": str}),
-        )
-    elif experiment == "transition-peak":
-        report = sweep.run_transition_peak_sweep(
-            ks, **_given(spec, {"width_scale": float, "samples": int})
+            ks, quadrature=_quadrature(cfg), **_given(spec, {"delta0": float, "side": str})
         )
     else:
-        raise ConfigError(
-            "experiment 'custom' labels externally built reports; it cannot be dispatched"
+        report = sweep.run_transition_peak_sweep(
+            ks, **_given(spec, {"width_scale": float, "samples": int})
         )
 
     basename = cfg.get("output", {}).get("basename", experiment)
@@ -283,20 +290,9 @@ def main(argv=None) -> int:
     except sweep.FitError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_FIT_DEGENERATE
-    except sweep.ReportFormatError as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return EXIT_CONFIG
-    except (
-        ConfigError,
-        geometry.ProfileError,
-        geometry.GeodesicError,
-        symbol_dsl.SymbolSyntaxError,
-        symbol_dsl.SymbolNameError,
-        symbol_dsl.SymbolDomainError,
-        PanelCountError,
-        ValueError,
-        OSError,
-    ) as exc:
+    # every config, symbol, geometry, quadrature and report-format error
+    # is a ValueError
+    except (ValueError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return EXIT_CONFIG
 

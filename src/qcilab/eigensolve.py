@@ -61,7 +61,6 @@ class RadialOperator:
     grid: np.ndarray
     step: float
     k: int
-    profile: ProfileFunction
 
     @property
     def size(self) -> int:
@@ -97,7 +96,7 @@ def assemble_operator(profile: ProfileFunction, k: int, N: int) -> RadialOperato
     p = profile.sq(half)  # f^2 at half-offset points; p[0] = p[N] = 0
     diag = (p[:-1] + p[1:]) / dt**2 + (k * k) / profile.sq(t)
     off = -p[1:-1] / dt**2
-    return RadialOperator(diag=diag, offdiag=off, grid=t, step=dt, k=k, profile=profile)
+    return RadialOperator(diag=diag, offdiag=off, grid=t, step=dt, k=k)
 
 
 def _normalize(vec: np.ndarray, dt: float) -> np.ndarray:
@@ -212,13 +211,11 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     coarse = assemble_operator(profile, k, N // 2)
     pairs_f = eigenpairs(fine, count)
     pairs_c = eigenpairs(coarse, count)
-    from scipy.interpolate import CubicSpline
-
     modes = []
     for i in range(count):
         lam = (4.0 * pairs_f[i][0] - pairs_c[i][0]) / 3.0
         a = pairs_f[i][1]
-        b = CubicSpline(coarse.grid, pairs_c[i][1], extrapolate=True)(fine.grid)
+        b = _make_mode(profile, k, i, pairs_c[i][0], coarse.grid, pairs_c[i][1]).radial(fine.grid)
         if np.dot(a, b) < 0:
             b = -b
         v = _normalize(a + (a - b) / 3.0, fine.step)

@@ -35,10 +35,10 @@ __all__ = [
 
 PROFILE_KINDS = ("sphere", "polynomial-perturbed")
 
-# refinement target for the t0 bisection
+# t0 closer to 0 than this is snapped to exactly 0
 _T0_TOL = 1e-12
-# dense scan resolution for locating the sign change of (f^2)'
-_SCAN_POINTS = 20001
+# grid on which q must be strictly positive
+_Q_GRID_POINTS = 20001
 
 
 class ProfileError(ValueError):
@@ -69,19 +69,12 @@ class ProfileFunction:
 
     # -- polynomial pieces -------------------------------------------------
 
-    def _q(self, t):
+    def _q(self, t, order=0):
+        """q(t), or its derivative of the given order."""
         c = self.coefficients if self.coefficients else (1.0,)
+        if order:
+            c = np.polynomial.polynomial.polyder(c, order)
         return np.polynomial.polynomial.polyval(t, c)
-
-    def _q_prime(self, t):
-        c = self.coefficients if self.coefficients else (1.0,)
-        d = np.polynomial.polynomial.polyder(c)
-        return np.polynomial.polynomial.polyval(t, d)
-
-    def _q_second(self, t):
-        c = self.coefficients if self.coefficients else (1.0,)
-        d = np.polynomial.polynomial.polyder(c, 2)
-        return np.polynomial.polynomial.polyval(t, d)
 
     # -- f^2 and derivatives ----------------------------------------------
 
@@ -93,15 +86,15 @@ class ProfileFunction:
     def sq_prime(self, t):
         """(f^2)'(t)."""
         t = np.asarray(t, dtype=float)
-        return -2.0 * t * self._q(t) + (1.0 - t * t) * self._q_prime(t)
+        return -2.0 * t * self._q(t) + (1.0 - t * t) * self._q(t, 1)
 
     def sq_second(self, t):
         """(f^2)''(t)."""
         t = np.asarray(t, dtype=float)
         return (
             -2.0 * self._q(t)
-            - 4.0 * t * self._q_prime(t)
-            + (1.0 - t * t) * self._q_second(t)
+            - 4.0 * t * self._q(t, 1)
+            + (1.0 - t * t) * self._q(t, 2)
         )
 
     # -- f and f' ----------------------------------------------------------
@@ -138,9 +131,9 @@ def make_profile(kind: str, coefficients: list[float]) -> ProfileFunction:
     Returns
     -------
     ProfileFunction
-        With t0 located by scanning (f^2)' for its unique interior sign
-        change and refining by bisection to |dt| <= 1e-12 (snapped to
-        exactly 0 when closer than that).
+        With t0 the unique interior root of the polynomial (f^2)',
+        polished by one Newton step and snapped to exactly 0 when it
+        lies within 1e-12 of it.
 
     Raises
     ------
@@ -157,18 +150,14 @@ def make_profile(kind: str, coefficients: list[float]) -> ProfileFunction:
         raise ProfileError("non-finite coefficient")
 
     probe = ProfileFunction(kind=kind, coefficients=coeffs, t0=0.0)
-    grid = np.linspace(-1.0, 1.0, _SCAN_POINTS)
-    q_on_grid = probe._q(grid)
-    if np.min(q_on_grid) <= 0.0:
+    if np.min(probe._q(np.linspace(-1.0, 1.0, _Q_GRID_POINTS))) <= 0.0:
         raise ProfileError("q(t) must be strictly positive on [-1, 1]")
 
-    # All critical points of f^2, from the polynomial roots of (f^2)'.
-    # The sign-change scan below locates t0; the root count guards against
-    # Morse violations that a sign scan alone would miss (tangential zeros).
-    c = list(coeffs) if coeffs else [1.0]
-    qpoly = np.polynomial.Polynomial(c)
-    sq_poly = np.polynomial.Polynomial([1.0, 0.0, -1.0]) * qpoly
-    roots = sq_poly.deriv().roots()
+    # The interior critical points of f^2 are the real roots of the
+    # polynomial (f^2)' in (-1, 1). Exactly one may remain once coincident
+    # roots are collapsed, and that one is t0.
+    poly = np.polynomial.Polynomial
+    roots = (poly([1.0, 0.0, -1.0]) * poly(coeffs or (1.0,))).deriv().roots()
     interior = [
         r.real
         for r in np.atleast_1d(roots)
@@ -181,40 +170,17 @@ def make_profile(kind: str, coefficients: list[float]) -> ProfileFunction:
         raise ProfileError(
             f"f^2 must have exactly one interior critical point, found {len(distinct)}"
         )
-
-    # locate the sign change of (f^2)' on the scan grid, then bisect;
-    # a zero landing exactly on a grid node is its own candidate
-    d = probe.sq_prime(grid)
-    zero_nodes = np.nonzero(d[1:-1] == 0.0)[0] + 1
-    flips = np.nonzero(d[:-1] * d[1:] < 0)[0]
-    if len(zero_nodes) + len(flips) != 1:
-        raise ProfileError(
-            "(f^2)' must change sign exactly once in (-1, 1), "
-            f"found {len(zero_nodes) + len(flips)} changes"
-        )
-    if len(zero_nodes):
-        t0 = float(grid[zero_nodes[0]])
-    else:
-        lo, hi = grid[flips[0]], grid[flips[0] + 1]
-        flo = probe.sq_prime(lo)
-        while hi - lo > _T0_TOL:
-            mid = 0.5 * (lo + hi)
-            fm = probe.sq_prime(mid)
-            if fm == 0.0:
-                lo = hi = mid
-                break
-            if flo * fm < 0:
-                hi = mid
-            else:
-                lo, flo = mid, fm
-        t0 = 0.5 * (lo + hi)
+    t0 = float(distinct[0])
+    curvature = probe.sq_second(t0)
+    if curvature >= -1e-10:
+        raise ProfileError("degenerate maximum of f^2 (Morse violation)")
+    # roots() solves a companion-matrix eigenproblem; one Newton step
+    # polishes its root to working precision
+    t0 = float(t0 - probe.sq_prime(t0) / curvature)
     if abs(t0) < _T0_TOL:
         t0 = 0.0
 
-    if probe.sq_second(t0) >= -1e-10:
-        raise ProfileError("degenerate maximum of f^2 (Morse violation)")
-
-    return ProfileFunction(kind=kind, coefficients=coeffs, t0=float(t0))
+    return ProfileFunction(kind=kind, coefficients=coeffs, t0=t0)
 
 
 @dataclass(frozen=True)

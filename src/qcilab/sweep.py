@@ -30,7 +30,7 @@ from typing import NamedTuple, Optional
 import numpy as np
 
 from ._atomic import _atomic_write
-from .geometry import Geodesic, ProfileFunction, longitude_arc, make_profile
+from .geometry import Geodesic, longitude_arc, make_profile
 from .lineintegral import QuadratureSpec, integrate_restriction
 from .specfun import HarmonicIndex, assoc_legendre_norm, legendre_P0, turning_points
 
@@ -152,6 +152,8 @@ def run_zonal_sweep(k_list, arc: Geodesic) -> SweepReport:
     """
     if arc.kind != "equator-latitude":
         raise ValueError("zonal sweep needs an equator latitude arc")
+    if arc.surface.kind != "sphere":
+        raise ValueError("zonal sweep uses the sphere's closed form; the arc must be on the sphere")
     for k in k_list:
         if k % 2:
             raise ValueError(
@@ -174,7 +176,6 @@ def run_zonal_sweep(k_list, arc: Geodesic) -> SweepReport:
 def run_tesseral_sweep(
     k_list,
     delta0: float = 0.3,
-    profile: Optional[ProfileFunction] = None,
     quadrature: QuadratureSpec = QuadratureSpec(),
     side: str = "forbidden",
 ) -> SweepReport:
@@ -184,17 +185,14 @@ def run_tesseral_sweep(
     theta0] where theta0 is the lower turning point (side="forbidden",
     the admissible configuration hanging into the exponential-decay
     region), or [theta0, theta0 + delta0] for the allowed-side
-    comparison run. Radial values come straight from the normalized
-    Legendre evaluator, which is exact for the sphere.
+    comparison run. The arcs lie on the sphere, where the normalized
+    Legendre evaluator gives the modes exactly.
     """
     if side not in ("forbidden", "allowed"):
         raise ValueError("side must be 'forbidden' or 'allowed'")
-    if profile is None:
-        profile = make_profile("sphere", [])
-    if profile.kind != "sphere":
-        raise ValueError("tesseral sweep is defined over the sphere profile")
     if not delta0 > 0.0:
         raise ValueError("delta0 must be positive")
+    sphere = make_profile("sphere", [])
 
     def row(k: int) -> SweepRow:
         idx = HarmonicIndex(l=2 * k, k=k)
@@ -210,7 +208,7 @@ def run_tesseral_sweep(
             lo, hi = theta0, theta0 + delta0
             if hi >= np.pi:
                 raise ValueError(f"delta0 = {delta0} too large at k = {k}")
-        arc = longitude_arc(profile, (float(np.cos(hi)), float(np.cos(lo))), 0.0)
+        arc = longitude_arc(sphere, (float(np.cos(hi)), float(np.cos(lo))), 0.0)
         value = integrate_restriction(idx, arc, quadrature, idx.h)
         return SweepRow(
             k=k, l=idx.l, h=idx.h, abs_I=abs(value), re_I=value.real, im_I=value.imag

@@ -214,6 +214,17 @@ class TestCheckAdmissible:
         assert rep.min_derivative is None
         assert rep.witness is None
 
+    @pytest.mark.parametrize("E2, verdict", [(1.0, "not-admissible"), (0.5, "empty-band")])
+    def test_constant_second_symbol_takes_the_fallback_band(
+        self, sphere, upper_longitude, E2, verdict
+    ):
+        # p2 = 1 has no spread over the shell, so the band half-width falls
+        # back to 5% of max(max|p2|, 1)
+        m = moment_map_from_config(sphere, None, "1")
+        rep = check_admissible(m, upper_longitude, EnergyPair(1.0, E2), grid=(64, 64))
+        assert rep.epsilon == 0.05
+        assert rep.verdict == verdict
+
     def test_scaling_the_second_symbol_scales_the_rate(
         self, sphere, sphere_map, upper_longitude
     ):

@@ -386,6 +386,36 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not missing.exists()
 
+    @pytest.mark.parametrize(
+        "experiment, k_list",
+        [
+            ("zonal-equator", [100, 200, 300]),
+            ("tesseral-caustic", [25, 50, 100]),
+            ("transition-peak", [100, 200, 400]),
+        ],
+    )
+    def test_perturbed_profile_is_refused_before_any_compute(
+        self, tmp_path, capsys, experiment, k_list
+    ):
+        # every sweep evaluates exact sphere modes, which the perturbed
+        # surface does not have; it must not report the sphere's numbers
+        cfg = write_config(
+            tmp_path,
+            "perturbed.json",
+            {
+                "profile": {"kind": "polynomial-perturbed", "coefficients": [1.0, 0.2, 0.05]},
+                "sweep": {"experiment": experiment, "k_list": k_list},
+            },
+        )
+        assert cli.main(["sweep", "--config", cfg, "--out", str(tmp_path)]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == [
+            f"error: sweep experiment '{experiment}' uses the exact sphere mode family; "
+            "profile must be sphere"
+        ]
+        assert not list(tmp_path.glob("*.csv"))
+
     def test_custom_experiment_has_no_runner(self, tmp_path):
         cfg = write_config(
             tmp_path,

@@ -34,8 +34,27 @@ class TestMakeProfile:
         assert abs(perturbed.t0 - t_star) <= 3e-6
 
     def test_bump_is_critical_and_nondegenerate(self, perturbed):
-        assert abs(perturbed.sq_prime(perturbed.t0)) <= 1e-10
+        assert abs(perturbed.sq_prime(perturbed.t0)) <= 1e-14
         assert perturbed.sq_second(perturbed.t0) < 0.0
+
+    def test_seeded_bumps_are_roots_to_working_precision(self):
+        rng = np.random.default_rng(11)
+        checked = 0
+        while checked < 200:
+            coeffs = [1.0, *rng.uniform(-0.5, 0.5, int(rng.integers(1, 6)))]
+            try:
+                prof = make_profile("polynomial-perturbed", coeffs)
+            except ProfileError:
+                continue
+            assert abs(prof.sq_prime(prof.t0)) <= 1e-14, coeffs
+            assert prof.sq_second(prof.t0) < 0.0, coeffs
+            checked += 1
+
+    def test_flat_maximum_rejected(self):
+        # (1 - t^2)(1 + t^2) = 1 - t^4: its one critical point, t = 0, has
+        # (f^2)'' = 0
+        with pytest.raises(ProfileError, match="degenerate maximum"):
+            make_profile("polynomial-perturbed", [1.0, 0.0, 1.0])
 
     def test_constant_factor_rescales_radius(self):
         prof = make_profile("polynomial-perturbed", [1.21])

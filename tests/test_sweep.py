@@ -116,6 +116,12 @@ class TestZonalSweep:
         with pytest.raises(ValueError):
             run_zonal_sweep([100, 200, 300], arc)
 
+    def test_perturbed_equator_arc_rejected(self, perturbed):
+        # the closed form holds for the sphere's N_k^0 only
+        arc = latitude_arc(perturbed, (0.2, 1.4))
+        with pytest.raises(ValueError, match="sphere"):
+            run_zonal_sweep([100, 200, 300], arc)
+
 
 def _rows_by_k(report):
     return sorted(report.rows, key=lambda r: r.k)
