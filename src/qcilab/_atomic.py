@@ -15,10 +15,14 @@ def _atomic_write(path: str, data: str | bytes):
 
     The temp file sits in the target directory, so concurrent writers never
     share it and the rename stays on one file system. A failed write
-    removes it and leaves path as it was.
+    removes it and leaves path as it was. When the temp file cannot be
+    created (say, the directory is missing), the error names path.
     """
     directory, name = os.path.split(path)
-    fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
+    try:
+        fd, tmp = tempfile.mkstemp(dir=directory or ".", prefix=name + ".", suffix=".tmp")
+    except OSError as exc:
+        raise OSError(exc.errno, exc.strerror, path) from None
     try:
         with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
             fh.write(data)

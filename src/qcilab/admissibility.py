@@ -2,16 +2,16 @@
 
 For a pair of commuting symbols (p1, p2) and an arc gamma, the test
 samples the set C_gamma = {(x(tau), xi) : p1 = E1} fiber by fiber,
-retains the energy band |p2 - E2| < epsilon, and estimates
+retains the energy band |p2 - E2| < epsilon, and takes
 
     inf |d/dtau p2|
 
-over the band by central differences taken at fixed fiber angle sigma.
-The arc is admissible when this infimum clears a positive threshold and
-p1 is of real principal type on the sampled set (nonvanishing
-xi-gradient). A vanishing infimum is exactly what disqualifies latitude
-arcs through the profile maximum, where the angular momentum is frozen
-along the flow.
+over the band, the derivative taken at fixed fiber angle sigma. The arc
+is admissible when this infimum clears a positive threshold and p1 is of
+real principal type on the sampled set (nonvanishing xi-gradient). A
+vanishing infimum is exactly what disqualifies latitude arcs through the
+profile maximum, where the angular momentum is frozen along the flow.
+Every derivative is exact, from the symbols' partials (MomentMap.partials).
 
 Every fiber is sampled along one family of rays, the metric-coframe
 directions at equally spaced angles sigma:
@@ -25,11 +25,10 @@ phase point whichever way the symbol was given.
 
 User-supplied radii are root-found a block of rows at a time, every ray
 of the block in the same numpy calls: Newton steps seeded from the fiber
-one row up (the fibers at tau -+ delta from the fiber at tau), and where
-Newton misses, a geometric scan followed by bisection, or by a local
-refinement when the level set only touches the ray. The block solve
-gives the radii of the plain row-by-row walk bit for bit, so the block
-size bounds memory and never changes a report.
+one row up, and where Newton misses, a geometric scan followed by
+bisection, or by a local refinement when the level set only touches the
+ray. The block solve gives the radii of the plain row-by-row walk bit for
+bit, so the block size bounds memory and never changes a report.
 """
 
 from __future__ import annotations
@@ -58,6 +57,7 @@ _SCAN_RADII = np.geomspace(1e-8, 1e3, 221)
 _PRINCIPAL_TOL = 1e-6
 # fiber points per block of the walk along the arc
 _BLOCK = 1 << 14
+_XI = ("xi_t", "xi_phi")
 
 
 class FiberError(ValueError):
@@ -138,10 +138,11 @@ class _Rays:
 def _newton(rays: _Rays, seed):
     """Radii after 12 Newton steps from seed, NaN unless |p1 - E1| <= _FIBER_TOL.
 
-    Slopes are central differences. Rays with no usable seed (NaN or
-    <= 0) come back NaN. A ray whose step lands where it stands, or where
-    it stood one step before, would repeat itself to the 12th step, so it
-    leaves the iteration with the radius and residual of that step.
+    Slopes are exact; a zero slope leaves a ray where it stands. Rays
+    with no usable seed (NaN or <= 0) come back NaN. A ray whose step
+    lands where it stands, or where it stood one step before, would
+    repeat itself to the 12th step, so it leaves the iteration with the
+    radius and residual of that step.
     """
     r = np.where(np.isfinite(seed) & (seed > 0), seed, np.nan)
     resid = np.full(len(r), np.nan)
@@ -151,11 +152,11 @@ def _newton(rays: _Rays, seed):
     for k in range(12):
         if not live.size:
             break
-        step = 1e-6 * np.maximum(1.0, np.abs(here))
-        g, g_hi, g_lo = sub.residual(np.stack([here, here + step, here - step]))
+        g = sub.residual(here)
+        d_t, d_p = sub.map_.partials("p1", sub.t, sub.phi, here * sub.c, here * sub.s, over=_XI)
         with np.errstate(divide="ignore", invalid="ignore"):
-            delta = g / ((g_hi - g_lo) / (2.0 * step))
-        there = np.maximum(here - np.where(np.isfinite(delta), delta, 0.0), 1e-12)
+            dr = g / (sub.c * d_t + sub.s * d_p)
+        there = np.maximum(here - np.where(np.isfinite(dr), dr, 0.0), 1e-12)
         fixed = there == here
         # in a 2-cycle the 12th step lands on `here` if 12 - k is even
         cycle = ~fixed & (there == back)
@@ -305,20 +306,18 @@ def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, seeds=None, prev=None):
+def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
     """Fibers over the base points (ts[i], phis[i]) along the coframe rays.
 
     Returns (xi_t, xi_phi, radii), each of shape (len(ts), len(sigmas));
     NaN entries mark rays that miss the level set (possible only for DSL
     maps). The built-in p1 has the closed-form radius sqrt(E1).
 
-    DSL rows are solved together, as one batch of rays. With seeds, row i
-    is Newton-seeded from seeds[i] (the fibers at tau -+ delta from those
-    at tau). Without, the rows are walked (_walk): each seeded from the row
-    before, the first from prev, the last fiber of the previous block; the
-    first row of an arc (prev None) comes from the scan. Rays Newton
-    cannot place go to the scan either way. A row whose rays all miss
-    raises FiberError, so every row holds a finite point.
+    DSL rows are solved together, as one batch of rays, and walked
+    (_walk): each row seeded from the row before, the first from prev, the
+    last fiber of the previous block; the first row of an arc (prev None)
+    comes from the scan, as do rays Newton cannot place. A row whose rays
+    all miss raises FiberError, so every row holds a finite point.
     """
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
@@ -331,10 +330,7 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, seeds=None, prev=None)
         n = len(sigmas)
         t, phi = np.repeat(ts, n), np.repeat(phis, n)
         rays = _Rays(map_, E1, t, phi, np.tile(cs, len(ts)), (f * sn).ravel())
-        if seeds is not None:
-            radii = _solve(rays, np.ravel(seeds)).reshape(shape)
-        else:
-            radii = _walk(rays, prev, n).reshape(shape)
+        radii = _walk(rays, prev, n).reshape(shape)
         if not np.isfinite(radii).any(axis=1).all():
             raise FiberError(
                 f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
@@ -347,7 +343,7 @@ def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
 
     Yields (rows, t, phi, xi_t, xi_phi, radii) with rows a slice of taus;
     a block holds about _BLOCK points, which bounds the memory of every
-    step that follows. DSL seeds chain from row to row across blocks.
+    step that follows. DSL walks chain from row to row across blocks.
     """
     step = max(1, _BLOCK // len(sigmas))
     last = None
@@ -359,39 +355,52 @@ def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
         yield rows, t, phi, xi_t, xi_phi, radii
 
 
-# -- principal type -----------------------------------------------------------
+# -- principal type and rates -------------------------------------------------
 
 
-def _principal_ok(map_: MomentMap, t, phi, xi_t, xi_phi) -> bool:
-    """True iff |grad_xi p1| > 1e-6 at every finite sampled point.
-
-    t and phi hold one base point per row of the (n_tau, n_fiber) fiber
-    arrays. The gradient is taken by central differences with step
-    1e-6 max(1, |xi|).
-    """
-    alive = np.isfinite(xi_t)
-    t = np.broadcast_to(t[:, None], xi_t.shape)[alive]
-    phi = np.broadcast_to(phi[:, None], xi_t.shape)[alive]
-    xi_t, xi_phi = xi_t[alive], xi_phi[alive]
-    st = 1e-6 * np.maximum(1.0, np.abs(xi_t))
-    sp = 1e-6 * np.maximum(1.0, np.abs(xi_phi))
-    d_t = (map_.p1(t, phi, xi_t + st, xi_phi) - map_.p1(t, phi, xi_t - st, xi_phi)) / (2.0 * st)
-    d_p = (map_.p1(t, phi, xi_t, xi_phi + sp) - map_.p1(t, phi, xi_t, xi_phi - sp)) / (2.0 * sp)
-    return bool(np.all(np.hypot(d_t, d_p) > _PRINCIPAL_TOL))
+def _principal_ok(xi_t, d_t, d_p) -> bool:
+    """True iff |grad_xi p1| = |(d_t, d_p)| > 1e-6 at every finite point of xi_t."""
+    grad2 = np.broadcast_to(d_t * d_t + d_p * d_p, xi_t.shape)
+    return bool(np.all(grad2[np.isfinite(xi_t)] > _PRINCIPAL_TOL**2))
 
 
 def check_principal_type(map_: MomentMap, geod: Geodesic, E1: float, grid=(128, 128)) -> bool:
     """True iff |grad_xi p1| > 1e-6 at every sampled point of C_gamma."""
     taus = np.linspace(geod.param_range[0], geod.param_range[1], int(grid[0]))
     blocks = _arc_fibers(map_, geod, E1, taus, _angles(int(grid[1])))
-    return all(_principal_ok(map_, t, phi, xt, xp) for _, t, phi, xt, xp, _ in blocks)
+    return all(
+        _principal_ok(xt, *map_.partials("p1", t[:, None], phi[:, None], xt, xp, over=_XI))
+        for _, t, phi, xt, xp, _ in blocks
+    )
 
 
-def _p2(map_: MomentMap, t, phi, xi_t, xi_phi):
-    """p2 on fiber arrays, with one base point (t[i], phi[i]) per row."""
-    shape = xi_t.shape
-    t, phi = (np.broadcast_to(v[:, None], shape) for v in (t, phi))
-    return np.broadcast_to(map_.p2(t, phi, xi_t, xi_phi), shape)
+def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, sigmas):
+    """(d p2 / d tau at fixed sigma, principal type of p1), one base point a row.
+
+    The radius r(tau) of each ray solves p1 = E1, so r' = -d_tau p1 / d_r p1,
+    with d_tau taken at fixed r. Then d p2 / d tau = d_tau p2 + d_r p2 r'.
+    Where d_tau p1 is exactly 0, r' is 0, even if d_r p1 vanishes too.
+    """
+    t, phi = t[:, None], phi[:, None]
+    sn = np.sin(sigmas)
+    c, s = np.cos(sigmas), map_.surface.value(t) * sn
+    # at fixed r, tau moves (t, phi) along the arc and, as t moves, turns
+    # the coframe: xi_phi = r f(t) sin(sigma)
+    speed = {v: d for v, d in zip(("t", "phi"), geod.tangent()) if d}
+    if "t" in speed:
+        speed["xi_phi"] = radii * (map_.surface.derivative(t) * (speed["t"] * sn))
+    names = tuple(dict.fromkeys(_XI + tuple(speed)))
+
+    def along(slot):
+        """(d_tau at fixed r, d_r, partials) of one symbol."""
+        d = dict(zip(names, map_.partials(slot, t, phi, xi_t, xi_phi, over=names)))
+        return sum(d[v] * speed[v] for v in speed), c * d["xi_t"] + s * d["xi_phi"], d
+
+    with np.errstate(all="ignore"):
+        tau1, r1, d1 = along("p1")
+        tau2, r2, _ = along("p2")
+        ratio = np.divide(tau1, r1, out=np.zeros(xi_t.shape), where=tau1 != 0.0)
+        return tau2 - r2 * ratio, _principal_ok(xi_t, d1["xi_t"], d1["xi_phi"])
 
 
 # -- the admissibility verdict -------------------------------------------------
@@ -441,25 +450,15 @@ def check_admissible(
     sigmas = _angles(n_fiber)
     E1 = energies.E1
 
-    def p2_near(at, radii):
-        """p2 on the fibers over geod(at), Newton-seeded from radii."""
-        t, phi = geod.point(at, checked=False)
-        xi_t, xi_phi, _ = _fibers(map_, t, phi, E1, sigmas, seeds=radii)
-        return _p2(map_, t, phi, xi_t, xi_phi)
-
-    # one walk along the arc: the fibers at each tau, and at tau -+ delta
-    # seeded from them; base points and covectors are kept for the witness
+    # one walk along the arc; base points and covectors are kept for the witness
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
     xt, xp = np.empty((n_tau, n_fiber)), np.empty((n_tau, n_fiber))
     p2_mid, deriv = np.empty((n_tau, n_fiber)), np.empty((n_tau, n_fiber))
     principal_ok = True
     for rows, t, phi, xi_t, xi_phi, radii in _arc_fibers(map_, geod, E1, taus, sigmas):
-        tau = taus[rows]
-        delta = 1e-6 * np.maximum(1.0, np.abs(tau))
-        lo, hi = p2_near(tau - delta, radii), p2_near(tau + delta, radii)
-        deriv[rows] = (hi - lo) / (2.0 * delta[:, None])
-        p2_mid[rows] = _p2(map_, t, phi, xi_t, xi_phi)
-        principal_ok = principal_ok and _principal_ok(map_, t, phi, xi_t, xi_phi)
+        deriv[rows], ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, sigmas)
+        principal_ok = principal_ok and ok
+        p2_mid[rows] = map_.p2(t[:, None], phi[:, None], xi_t, xi_phi)
         t_m[rows], phi_m[rows], xt[rows], xp[rows] = t, phi, xi_t, xi_phi
 
     scale = float(np.nanmax(np.abs(p2_mid)))

@@ -97,7 +97,7 @@ class ProfileFunction:
             + (1.0 - t * t) * self._q(t, 2)
         )
 
-    # -- f and f' ----------------------------------------------------------
+    # -- f and its derivatives ----------------------------------------------
 
     def value(self, t):
         """f(t) = sqrt((1 - t^2) q(t)); t may be scalar or array."""
@@ -106,6 +106,12 @@ class ProfileFunction:
     def derivative(self, t):
         """f'(t) = (f^2)'(t) / (2 f(t)); valid on the open interval."""
         return self.sq_prime(t) / (2.0 * self.value(t))
+
+    def second_derivative(self, t):
+        """f''(t) = ((f^2)''(t) - 2 f'(t)^2) / (2 f(t)); valid on the open interval."""
+        f = self.value(t)
+        fp = self.sq_prime(t) / (2.0 * f)
+        return (self.sq_second(t) - 2.0 * fp * fp) / (2.0 * f)
 
     # -- serialization -----------------------------------------------------
 

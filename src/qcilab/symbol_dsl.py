@@ -16,6 +16,11 @@ metric without hardcoding a profile.
 Error positions are reported as 1-based byte offsets into the source
 string. compile_expr turns an AST into one numpy function, once; it is
 the one evaluator, and takes scalars or numpy arrays alike.
+
+Partial derivatives are taken exactly on the AST (_diff), so the
+derivatives of a symbol are symbols too, compiled and checked the same
+way. They may call two functions the parser does not accept: sign (the
+derivative of abs) and fpp (the profile's second derivative, that of fp).
 """
 
 from __future__ import annotations
@@ -284,9 +289,9 @@ def compile_expr(node: Expr, profile: ProfileFunction):
     f/fp without a profile, naming the offending sub-expression. Any
     other floating-point overflow, invalid value or division by zero, such
     as f or fp off the chart, raises it too, naming the whole expression.
+    The calls sign and fpp, which only derivatives hold, compile as well.
     """
     fn = _compile(node, profile)
-    text = format_expr(node)
 
     def evaluate(t=0.0, phi=0.0, xi_t=0.0, xi_phi=0.0):
         # scalars become numpy scalars, which obey errstate as arrays do
@@ -295,7 +300,7 @@ def compile_expr(node: Expr, profile: ProfileFunction):
             with np.errstate(over="raise", invalid="raise", divide="raise"):
                 return fn(env)
         except FloatingPointError as exc:
-            raise SymbolDomainError(f"{exc} in '{text}'") from None
+            raise SymbolDomainError(f"{exc} in '{format_expr(node)}'") from None
 
     return evaluate
 
@@ -322,44 +327,129 @@ def _compile(node: Expr, profile: ProfileFunction):
             return lambda env: left(env) - right(env)
         if node.op == "*":
             return lambda env: left(env) * right(env)
-        message = f"division by zero in '{format_expr(node)}'"
 
         def divide(env):
             a, b = left(env), right(env)
             if np.any(np.asarray(b) == 0.0):
-                raise SymbolDomainError(message)
+                raise SymbolDomainError(f"division by zero in '{format_expr(node)}'")
             return a / b
 
         return divide
     if isinstance(node, Call):
         arg = _compile(node.arg, profile)
-        if node.func in ("sin", "cos", "abs"):
-            ufunc = {"sin": np.sin, "cos": np.cos, "abs": np.abs}[node.func]
+        if node.func in ("sin", "cos", "abs", "sign"):
+            ufunc = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sign": np.sign}[node.func]
             return lambda env: ufunc(arg(env))
         if node.func == "sqrt":
-            message = f"sqrt of negative value in '{format_expr(node)}'"
 
             def sqrt(env):
                 x = arg(env)
                 if np.any(np.asarray(x) < 0.0):
-                    raise SymbolDomainError(message)
+                    raise SymbolDomainError(f"sqrt of negative value in '{format_expr(node)}'")
                 return np.sqrt(x)
 
             return sqrt
         if profile is None:
-            message = f"'{node.func}' needs a surface profile in '{format_expr(node)}'"
 
             def unavailable(env):
                 arg(env)
-                raise SymbolDomainError(message)
+                raise SymbolDomainError(f"'{node.func}' needs a surface profile in '{format_expr(node)}'")
 
             return unavailable
-        curve = profile.value if node.func == "f" else profile.derivative
+        curve = {"f": profile.value, "fp": profile.derivative, "fpp": profile.second_derivative}[node.func]
         return lambda env: curve(arg(env))
     raise TypeError(f"not an expression node: {node!r}")
 
 
+# -- differentiation ----------------------------------------------------------
+
+_ZERO, _ONE = Num(0.0), Num(1.0)
+
+
+def _is(node: Expr, value: float) -> bool:
+    return isinstance(node, Num) and node.value == value
+
+
+def _add(a: Expr, b: Expr) -> Expr:
+    return b if _is(a, 0.0) else a if _is(b, 0.0) else BinOp("+", a, b)
+
+
+def _sub(a: Expr, b: Expr) -> Expr:
+    return a if _is(b, 0.0) else _neg(b) if _is(a, 0.0) else BinOp("-", a, b)
+
+
+def _mul(a: Expr, b: Expr) -> Expr:
+    if _is(a, 0.0) or _is(b, 0.0):
+        return _ZERO
+    return b if _is(a, 1.0) else a if _is(b, 1.0) else BinOp("*", a, b)
+
+
+def _div(a: Expr, b: Expr) -> Expr:
+    return a if _is(a, 0.0) or _is(b, 1.0) else BinOp("/", a, b)
+
+
+def _neg(a: Expr) -> Expr:
+    return a if _is(a, 0.0) else a.operand if isinstance(a, Neg) else Neg(a)
+
+
+# the derivative of each call but sqrt and sign, at its argument u
+_OUTER = {
+    "sin": lambda u: Call("cos", u),
+    "cos": lambda u: Neg(Call("sin", u)),
+    "abs": lambda u: Call("sign", u),
+    "f": lambda u: Call("fp", u),
+    "fp": lambda u: Call("fpp", u),
+}
+
+
+def _diff(node: Expr, var: str) -> Expr:
+    """The partial derivative of node in the variable var, as an AST.
+
+    Sums, products and quotients with 0 or 1 are folded as the tree is
+    built, so a node free of var gives exactly Num(0). A quotient u / v
+    differentiates to (u' - (u / v) v') / v, which divides by nothing
+    u / v does not divide by; sqrt(u) gives u' / (2 sqrt(u)), a division
+    by zero where u = 0. abs(u) gives sign(u) u', and sign is taken as
+    flat. fpp is never differentiated: the parser does not accept it, so
+    it only appears in first derivatives.
+    """
+    if isinstance(node, Num):
+        return _ZERO
+    if isinstance(node, Var):
+        return _ONE if node.name == var else _ZERO
+    if isinstance(node, Neg):
+        return _neg(_diff(node.operand, var))
+    if isinstance(node, Pow):
+        n = node.exponent
+        if n == 0:
+            return _ZERO
+        power = _ONE if n == 1 else node.base if n == 2 else Pow(node.base, n - 1)
+        return _mul(_mul(Num(float(n)), power), _diff(node.base, var))
+    if isinstance(node, BinOp):
+        du, dv = _diff(node.left, var), _diff(node.right, var)
+        if node.op == "+":
+            return _add(du, dv)
+        if node.op == "-":
+            return _sub(du, dv)
+        if node.op == "*":
+            return _add(_mul(du, node.right), _mul(node.left, dv))
+        return _div(_sub(du, _mul(node, dv)), node.right)
+    if isinstance(node, Call):
+        du = _diff(node.arg, var)
+        if _is(du, 0.0) or node.func == "sign":
+            return _ZERO
+        if node.func == "sqrt":
+            return _div(du, _mul(Num(2.0), node))
+        if node.func not in _OUTER:
+            raise TypeError(f"no derivative of {node.func!r}")
+        return _mul(_OUTER[node.func](node.arg), du)
+    raise TypeError(f"not an expression node: {node!r}")
+
+
 # -- moment maps ---------------------------------------------------------------
+
+# the builtin slots as expressions, for their partials
+_BUILTIN_EXPR = {"p1": parse_expr(BUILTIN_P1_TEXT), "p2": parse_expr(BUILTIN_P2_TEXT)}
 
 
 @dataclass(frozen=True)
@@ -370,6 +460,11 @@ class MomentMap:
     is used: p1 = xi_t^2 + xi_phi^2 / f(t)^2 (metric Hamiltonian) and
     p2 = xi_phi (angular momentum). Overrides are DSL expressions, each
     compiled once (compile_expr) on its first evaluation.
+
+    partials gives exact partial derivatives of either slot. They are
+    differentiated on the AST (the builtin slots from BUILTIN_P1_TEXT and
+    BUILTIN_P2_TEXT) and compiled once, on first use, for all four
+    variables.
     """
 
     surface: ProfileFunction
@@ -383,6 +478,19 @@ class MomentMap:
     @cached_property
     def _p2(self):
         return compile_expr(self.p2_expr, self.surface)
+
+    @cached_property
+    def _partials(self):
+        """{slot: {variable: compiled partial, or None where it is 0}}."""
+        out = {}
+        for slot, expr in (("p1", self.p1_expr), ("p2", self.p2_expr)):
+            if expr is None:
+                expr = _BUILTIN_EXPR[slot]
+            derivs = {var: _diff(expr, var) for var in VARIABLES}
+            out[slot] = {
+                var: None if _is(d, 0.0) else compile_expr(d, self.surface) for var, d in derivs.items()
+            }
+        return out
 
     @property
     def is_builtin_p1(self) -> bool:
@@ -398,6 +506,16 @@ class MomentMap:
         if self.p2_expr is None:
             return xi_phi if np.ndim(xi_phi) else float(xi_phi)
         return self._p2(t, phi, xi_t, xi_phi)
+
+    def partials(self, slot: str, t, phi, xi_t, xi_phi, over=VARIABLES):
+        """Exact partials of slot ("p1" or "p2") in the variables over, in order.
+
+        Arguments broadcast as for p1 and p2. A partial that is identically
+        zero is 0.0 and is never evaluated. Evaluation raises
+        SymbolDomainError as compile_expr does, naming the derivative.
+        """
+        fns = self._partials[slot]
+        return tuple(0.0 if fns[v] is None else fns[v](t, phi, xi_t, xi_phi) for v in over)
 
 
 def builtin_moment_map(profile: ProfileFunction) -> MomentMap:

@@ -239,7 +239,7 @@ def test_criterion_8_dsl_equivalence(sphere, sphere_map, perturbed):
         )
         rel = abs(b.min_derivative - a.min_derivative) / a.min_derivative
         worst_rate = max(worst_rate, rel)
-    rates_ok = worst_rate <= 1e-6
+    rates_ok = worst_rate <= 1e-10
     ok = values_ok and verdicts_ok and rates_ok
     _report(
         8,

@@ -386,6 +386,23 @@ class TestSweepCommand:
         assert len(err) == 1 and err[0].startswith("error:")
         assert not missing.exists()
 
+    def test_missing_out_directory_names_the_report_file(self, tmp_path, capsys):
+        # the error names the report path, not the random temp file that
+        # could not be created, so two identical runs print the same line
+        cfg = write_config(
+            tmp_path,
+            "zonal.json",
+            {"sweep": {"experiment": "zonal-equator", "k_list": [100, 200, 300]}},
+        )
+        missing = tmp_path / "no" / "such" / "dir"
+        errs = []
+        for _ in range(2):
+            assert cli.main(["sweep", "--config", cfg, "--out", str(missing)]) == 2
+            errs.append(capsys.readouterr().err)
+        assert errs[0] == errs[1]
+        assert f"'{missing / 'zonal-equator.csv'}'" in errs[0]
+        assert ".tmp" not in errs[0]
+
     @pytest.mark.parametrize(
         "experiment, k_list",
         [

@@ -16,6 +16,7 @@ import tempfile
 from pathlib import Path
 
 import numpy as np
+import pytest
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
@@ -216,6 +217,25 @@ _CRITERION_1 = {
 @given(st.fixed_dictionaries({}, optional={"p1": _DSL, "p2": _DSL}))
 def test_symbol_text_exit_codes(symbols):
     _run_config("admissible", dict(_CRITERION_1, **symbols))
+
+
+@pytest.mark.parametrize(
+    "p1",
+    [
+        # d/dxi_phi is xi_phi / sqrt(xi_phi^2), 0/0 on the sigma = 0 ray
+        "xi_t^2 + sqrt(xi_phi^2)",
+        # d/dxi_t is sign(xi_t), which jumps across the vertical rays
+        "abs(xi_t) + xi_phi^2",
+    ],
+)
+def test_symbol_with_a_singular_derivative_exits_cleanly(p1):
+    with tempfile.TemporaryDirectory() as tmp:
+        path = _write(Path(tmp) / "cfg.json", dict(_CRITERION_1, p1=p1))
+        err = io.StringIO()
+        with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+            code = cli.main(["admissible", "--config", path])
+    assert code in (0, 2, 3, 4, 5)
+    assert sum(line.startswith("error:") for line in err.getvalue().splitlines()) <= 1
 
 
 @_FUZZ

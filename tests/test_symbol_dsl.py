@@ -1,4 +1,6 @@
-"""Expression parser, printer, evaluator, and phase-space function pairs."""
+"""Expression parser, printer, evaluator, derivatives and phase-space function pairs."""
+
+import re
 
 import numpy as np
 import pytest
@@ -18,6 +20,7 @@ from qcilab import (
     moment_map_from_config,
     parse_expr,
 )
+from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _diff
 
 
 def ev(text, profile=None, **env):
@@ -274,3 +277,84 @@ class TestMomentMap:
         m = moment_map_from_config(sphere, None, None)
         assert m.is_builtin_p1 and m.p2_expr is None
         assert m == builtin_moment_map(sphere)
+
+
+class TestDerivatives:
+    # one symbol per grammar node (Num, Var, Neg, + - * / ^ and each call),
+    # plus sign, which only derivatives hold and the parser does not accept;
+    # fpp is checked against fp below
+    TREES = [
+        parse_expr(text)
+        for text in (
+            "2.5",
+            "xi_t",
+            "-(t * xi_phi)",
+            "t + xi_t",
+            "phi - xi_phi",
+            "t * xi_t * xi_phi",
+            "xi_t / (2 + cos(phi))",
+            "(t + xi_phi)^3",
+            "sin(t * xi_t)",
+            "cos(phi + xi_phi)",
+            "sqrt(1 + xi_t^2)",
+            "abs(xi_t - phi)",
+            "f(t) * xi_phi",
+            "fp(t) * xi_t",
+            BUILTIN_P1_TEXT,
+        )
+    ] + [BinOp("*", Var("xi_t"), Call("sign", BinOp("-", Var("xi_phi"), Num(3.0))))]
+
+    @pytest.mark.parametrize("tree", TREES, ids=format_expr)
+    def test_partials_match_central_differences(self, perturbed, tree):
+        rng = np.random.default_rng(11)
+        env = {
+            "t": rng.uniform(-0.8, 0.8, 200),
+            "phi": rng.uniform(0.0, 2.0 * np.pi, 200),
+            "xi_t": rng.uniform(-2.0, 2.0, 200),
+            "xi_phi": rng.uniform(-2.0, 2.0, 200),
+        }
+        value = compile_expr(tree, perturbed)
+        for var in VARIABLES:
+            exact = np.broadcast_to(compile_expr(_diff(tree, var), perturbed)(**env), (200,))
+            h = 1e-6 * np.maximum(1.0, np.abs(env[var]))
+            hi = value(**dict(env, **{var: env[var] + h}))
+            lo = value(**dict(env, **{var: env[var] - h}))
+            central = np.broadcast_to((hi - lo) / (2.0 * h), (200,))
+            np.testing.assert_allclose(exact, central, rtol=1e-6, atol=1e-6)
+
+    @pytest.mark.parametrize("tree", TREES, ids=format_expr)
+    def test_a_symbol_free_of_a_variable_folds_to_zero(self, tree):
+        text = format_expr(tree)
+        free = [v for v in VARIABLES if not re.search(rf"\b{v}\b", text)]
+        for var in free:
+            assert _diff(tree, var) == Num(0.0)
+        if "sign" not in text:
+            assert all(_diff(tree, v) != Num(0.0) for v in set(VARIABLES) - set(free))
+
+    def test_fpp_is_the_derivative_of_fp(self, perturbed):
+        t = np.linspace(-0.9, 0.9, 37)
+        fpp = compile_expr(Call("fpp", Var("t")), perturbed)(t=t)
+        fp = compile_expr(parse_expr("fp(t)"), perturbed)
+        central = (fp(t=t + 1e-6) - fp(t=t - 1e-6)) / 2e-6
+        np.testing.assert_allclose(fpp, central, rtol=1e-6, atol=1e-6)
+        with pytest.raises(TypeError):
+            _diff(Call("fpp", Var("t")), "t")
+
+    def test_derivative_domain_errors_name_the_derivative(self, sphere):
+        # sqrt(xi_phi^2) is fine at xi_phi = 0; its derivative divides by 0
+        m = moment_map_from_config(sphere, "xi_t^2 + sqrt(xi_phi^2)", None)
+        assert m.p1(0.3, 0.0, 1.0, 0.0) == 1.0
+        with pytest.raises(SymbolDomainError) as exc:
+            m.partials("p1", 0.3, 0.0, 1.0, 0.0)
+        assert str(exc.value) == "division by zero in '2 * xi_phi / (2 * sqrt(xi_phi^2))'"
+
+    def test_builtin_partials_are_the_closed_forms(self, perturbed):
+        m = builtin_moment_map(perturbed)
+        t, phi, xt, xp = 0.4, 1.0, 0.7, -0.3
+        f, fp = perturbed.value(t), perturbed.derivative(t)
+        d_t, d_phi, d_xt, d_xp = m.partials("p1", t, phi, xt, xp)
+        assert d_phi == 0.0 and d_xt == 2 * xt
+        assert d_xp == pytest.approx(2 * xp / f**2, rel=1e-15)
+        assert d_t == pytest.approx(-2 * xp**2 * fp / f**3, rel=1e-14)
+        assert m.partials("p2", t, phi, xt, xp) == (0.0, 0.0, 0.0, 1.0)
+        assert m.partials("p1", t, phi, xt, xp, over=("xi_phi",)) == (d_xp,)
