@@ -22,7 +22,7 @@ from importlib import resources
 
 import numpy as np
 
-from . import admissibility, eigensolve, geometry, sweep, symbol_dsl
+from . import _schema, admissibility, eigensolve, geometry, sweep, symbol_dsl
 from .lineintegral import QuadratureSpec, integrate_adaptive
 from .specfun import HarmonicIndex
 
@@ -42,7 +42,7 @@ class ConfigError(ValueError):
 # ===================================================================
 
 
-def _schema() -> dict:
+def _config_schema() -> dict:
     text = resources.files("qcilab").joinpath("config.schema.json").read_text()
     return json.loads(text)
 
@@ -57,19 +57,15 @@ def load_config(path: str) -> dict:
     try:
         with open(path) as fh:
             cfg = json.load(fh, parse_float=finite, parse_constant=finite)
+        problem = _schema.violation(cfg, _config_schema())
     except OSError as exc:
         raise ConfigError(f"cannot read config {path}: {exc}") from exc
     except json.JSONDecodeError as exc:
         raise ConfigError(f"config {path} is not valid JSON: {exc}") from exc
-    # imported here, not at module level, so commands that read no config
-    # (plotdata) do not pay for it
-    import jsonschema
-
-    try:
-        jsonschema.validate(cfg, _schema())
-    except jsonschema.ValidationError as exc:
-        where = "/".join(str(p) for p in exc.absolute_path) or "config root"
-        raise ConfigError(f"config schema violation at {where}: {exc.message}") from exc
+    except RecursionError as exc:
+        raise ConfigError(f"config {path} is nested too deeply to read") from exc
+    if problem is not None:
+        raise ConfigError(f"config schema violation at {problem}")
     return cfg
 
 

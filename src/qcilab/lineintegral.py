@@ -70,6 +70,33 @@ def _rule(n: int):
     return np.polynomial.legendre.leggauss(n)
 
 
+def _panels(geod: Geodesic, spec: QuadratureSpec, h: float):
+    """Quadrature nodes on the arc (n_panels x nodes_per_panel) and a panel's half-width."""
+    if not h > 0.0:
+        raise ValueError("h must be positive")
+    a, b = geod.param_range
+    length = b - a
+    panel_len = 2.0 * np.pi * h / spec.panels_per_wavelength
+    n_panels = max(1, ceil(length / panel_len))
+    if n_panels > spec.max_panels:
+        raise PanelCountError(
+            f"needs {n_panels} panels > cap {spec.max_panels} (h = {h} too small)"
+        )
+
+    x, _ = _rule(spec.nodes_per_panel)
+    edges = np.linspace(a, b, n_panels + 1)
+    half = 0.5 * (edges[1] - edges[0])
+    centers = 0.5 * (edges[:-1] + edges[1:])
+    return centers[:, None] + half * x[None, :], half
+
+
+def _panel_sum(vals, half: float, spec: QuadratureSpec) -> complex:
+    """The Gauss rule summed over the panels, from the integrand at their nodes."""
+    _, w = _rule(spec.nodes_per_panel)
+    panel_sums = half * (np.asarray(vals).reshape(-1, spec.nodes_per_panel) @ w)
+    return complex(np.sum(panel_sums))
+
+
 def integrate_restriction(u, geod: Geodesic, spec: QuadratureSpec, h: float) -> complex:
     """Integral of u over the arc against the arc-length measure.
 
@@ -93,38 +120,25 @@ def integrate_restriction(u, geod: Geodesic, spec: QuadratureSpec, h: float) -> 
     PanelCountError
         When resolving the oscillation needs more than max_panels panels.
     """
-    if not h > 0.0:
-        raise ValueError("h must be positive")
     ev = u.value if hasattr(u, "value") else u
-    a, b = geod.param_range
-    length = b - a
-    panel_len = 2.0 * np.pi * h / spec.panels_per_wavelength
-    n_panels = max(1, ceil(length / panel_len))
-    if n_panels > spec.max_panels:
-        raise PanelCountError(
-            f"needs {n_panels} panels > cap {spec.max_panels} (h = {h} too small)"
-        )
-
-    x, w = _rule(spec.nodes_per_panel)
-    edges = np.linspace(a, b, n_panels + 1)
-    half = 0.5 * (edges[1] - edges[0])
-    centers = 0.5 * (edges[:-1] + edges[1:])
-    taus = centers[:, None] + half * x[None, :]
-
-    t, phi = geod.point(taus.ravel(), checked=False)
-    vals = np.asarray(ev(t, phi)).reshape(n_panels, spec.nodes_per_panel)
-    panel_sums = half * (vals @ w)
-    return complex(np.sum(panel_sums))
+    taus, half = _panels(geod, spec, h)
+    return _panel_sum(ev(*geod.point(taus.ravel(), checked=False)), half, spec)
 
 
 def integrate_adaptive(u, geod: Geodesic, spec: QuadratureSpec, h: float):
     """Integral with a doubling-based error estimate.
 
     Runs the rule at the requested density and at doubled panel density;
-    returns (finer value, absolute difference).
+    returns (finer value, absolute difference). The integrand is evaluated
+    once, on both node sets together; it acts elementwise, so each sum is
+    bit-identical to its own integrate_restriction call.
     """
-    coarse = integrate_restriction(u, geod, spec, h)
-    fine = integrate_restriction(
-        u, geod, replace(spec, panels_per_wavelength=2.0 * spec.panels_per_wavelength), h
-    )
+    ev = u.value if hasattr(u, "value") else u
+    coarse_taus, coarse_half = _panels(geod, spec, h)
+    fine_spec = replace(spec, panels_per_wavelength=2.0 * spec.panels_per_wavelength)
+    fine_taus, fine_half = _panels(geod, fine_spec, h)
+    taus = np.concatenate([coarse_taus.ravel(), fine_taus.ravel()])
+    vals = np.asarray(ev(*geod.point(taus, checked=False)))
+    coarse = _panel_sum(vals[: coarse_taus.size], coarse_half, spec)
+    fine = _panel_sum(vals[coarse_taus.size :], fine_half, fine_spec)
     return fine, abs(fine - coarse)

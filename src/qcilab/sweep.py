@@ -337,6 +337,8 @@ def load_report(csv_path: str) -> SweepReport:
             meta = json.load(fh)
         except json.JSONDecodeError as exc:
             raise ReportFormatError(f"{sidecar}: {exc}") from exc
+        except RecursionError as exc:
+            raise ReportFormatError(f"{sidecar}: nested too deeply to read") from exc
     if not isinstance(meta, dict):
         raise ReportFormatError(f"{sidecar}: expected a JSON object, found {type(meta).__name__}")
     if meta.get("experiment") not in EXPERIMENTS:

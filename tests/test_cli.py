@@ -871,7 +871,8 @@ class TestJsonschemaLoading:
     def test_schema_violation_still_exits_config_error(self, tmp_path):
         argv = _child_argv(tmp_path, "schema-error")
         result = _run_child(_CHILD_JSONSCHEMA, json.dumps(argv))
-        assert result["code"] == 2 and result["jsonschema"]
+        # configs are validated in-package, so jsonschema stays unloaded
+        assert result["code"] == 2 and not result["jsonschema"]
         assert result["err"].splitlines() == [
             "error: config schema violation at config root: "
             "Additional properties are not allowed ('bogus' was unexpected)"

@@ -381,3 +381,28 @@ def test_plotdata_exit_codes(meta):
         csv.write_text("k,l,h,abs_I,re_I,im_I\n10,20,0.05,0.1,0.1,0.0\n20,40,0.025,0.05,0.05,0.0\n")
         _write(Path(tmp) / "r.json", meta)
         _run(["plotdata", str(csv)])
+
+
+# -- documents nested too deeply for the JSON parser -----------------------------
+
+
+def _stderr(argv) -> tuple[int, str]:
+    err = io.StringIO()
+    with contextlib.redirect_stdout(io.StringIO()), contextlib.redirect_stderr(err):
+        code = cli.main(argv)
+    return code, err.getvalue()
+
+
+def test_deeply_nested_config_exits_config_error(tmp_path):
+    path = tmp_path / "cfg.json"
+    path.write_text("[" * 5000)
+    message = f"error: config {path} is nested too deeply to read\n"
+    assert _stderr(["admissible", "--config", str(path)]) == (2, message)
+
+
+def test_deeply_nested_sidecar_exits_config_error(tmp_path):
+    csv = tmp_path / "r.csv"
+    csv.write_text("k,l,h,abs_I,re_I,im_I\n10,20,0.05,0.1,0.1,0.0\n")
+    (tmp_path / "r.json").write_text("[" * 5000)
+    message = f"error: {tmp_path / 'r.json'}: nested too deeply to read\n"
+    assert _stderr(["plotdata", str(csv)]) == (2, message)

@@ -1,5 +1,7 @@
 """Oscillation-resolved quadrature along geodesic arcs."""
 
+from dataclasses import replace
+
 import numpy as np
 import pytest
 from scipy.special import roots_legendre
@@ -156,3 +158,31 @@ class TestIntegrateAdaptive:
         val, err = integrate_adaptive(u, arc, QuadratureSpec(), idx.h)
         expect = (np.pi / 3) * assoc_legendre_norm(1000, 0, 0.0)
         assert abs(val - expect) <= max(err, 1e-8 * abs(expect) + 1e-14)
+
+    @pytest.mark.parametrize(
+        "l, k, arc",
+        [
+            (40, 20, ("longitude", (0.3, 0.8))),
+            (200, 100, ("longitude", (-0.95, 0.9))),
+            (1600, 790, ("longitude", (0.1, 0.5))),
+            (700, 0, ("latitude", (0.0, np.pi / 3))),
+            (333, 333, ("latitude", (1.0, 3.5))),
+            (1, 1, ("latitude", (0.0, 0.01))),
+        ],
+    )
+    @pytest.mark.parametrize("spec", [QuadratureSpec(), QuadratureSpec(7, 2.5)])
+    def test_equals_two_restriction_passes_bit_for_bit(self, sphere, l, k, arc, spec):
+        kind, span = arc
+        geod = longitude_arc(sphere, span, 0.7) if kind == "longitude" else latitude_arc(sphere, span)
+        idx = HarmonicIndex(l, k)
+        coarse = integrate_restriction(idx, geod, spec, idx.h)
+        doubled = replace(spec, panels_per_wavelength=2 * spec.panels_per_wavelength)
+        fine = integrate_restriction(idx, geod, doubled, idx.h)
+        assert integrate_adaptive(idx, geod, spec, idx.h) == (fine, abs(fine - coarse))
+
+    def test_panel_budget_counts_the_doubled_rule(self, equator_arc):
+        # 134 panels at h = 0.005, 267 at the doubled density
+        spec = QuadratureSpec(max_panels=200)
+        assert integrate_restriction(lambda t, phi: phi + 0j, equator_arc, spec, 0.005)
+        with pytest.raises(PanelCountError, match="needs 267 panels"):
+            integrate_adaptive(lambda t, phi: phi + 0j, equator_arc, spec, 0.005)
