@@ -19,7 +19,8 @@ no artificial boundary rows are needed. Eigenpairs come from bisection
 on Sturm sequences plus inverse iteration. The plain scheme is second
 order; solve_modes sharpens it by Richardson extrapolation across the
 N and N/2 grids (eigenvalues combined as (4 a_N - a_{N/2})/3, radial
-vectors corrected through cubic resampling of the coarse solution).
+vectors corrected through 4-point Lagrange resampling of the coarse
+solution).
 
 Radial factors are normalized by 2 pi * sum(w^2) * dt = 1, the discrete
 form of the surface L2 normalization in the (t, phi) chart.
@@ -31,7 +32,6 @@ import hashlib
 import io
 import os
 from dataclasses import dataclass
-from functools import cached_property
 from typing import Optional
 
 import numpy as np
@@ -151,9 +151,6 @@ class JointEigenfunction:
     radial_grid, radial_values : ndarray
         Samples of the radial factor w on the interior grid.
     profile : ProfileFunction
-
-    The cubic spline behind radial() and value() is built on the first
-    radial() call, so modes that are only listed never build one.
     """
 
     k: int
@@ -164,23 +161,31 @@ class JointEigenfunction:
     radial_values: np.ndarray
     profile: ProfileFunction
 
-    @cached_property
-    def _spline(self):
-        from scipy.interpolate import CubicSpline
-
-        return CubicSpline(self.radial_grid, self.radial_values, extrapolate=True)
-
     def radial(self, t):
-        """Radial factor w(t) by cubic interpolation; |t| <= 1."""
+        """Radial factor w(t) by 4-point Lagrange interpolation; |t| <= 1."""
         t = np.asarray(t, dtype=float)
         if np.any(np.abs(t) > 1.0 + 1e-12):
             raise ValueError("t outside the surface chart [-1, 1]")
-        return self._spline(t)
+        return _interp(self.radial_grid, self.radial_values, t)
 
     def value(self, t, phi):
         """u(t, phi), complex; vectorized over broadcastable inputs."""
         w = self.radial(t)
         return w * np.exp(1j * self.k * np.asarray(phi, dtype=float))
+
+
+def _interp(grid, values, t):
+    """4-point Lagrange interpolation of samples on the uniform `grid` at t.
+
+    Each t takes the centred stencil of the four nodes around it; on the
+    two end segments, and beyond the outer nodes, the four outermost.
+    """
+    s = (t - grid[0]) / (grid[1] - grid[0])
+    j = np.clip(np.floor(s).astype(np.intp) - 1, 0, len(grid) - 4)
+    a = s - j  # offsets from the four nodes: a, a - 1, a - 2, a - 3
+    b, c, d = a - 1, a - 2, a - 3
+    v0, v1, v2, v3 = (values[j + i] for i in range(4))
+    return (c * d * (3 * a * v1 - b * v0) + a * b * (c * v3 - 3 * d * v2)) / 6
 
 
 def _make_mode(profile, k, l_index, lam, grid, values) -> JointEigenfunction:
@@ -215,7 +220,7 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     for i in range(count):
         lam = (4.0 * pairs_f[i][0] - pairs_c[i][0]) / 3.0
         a = pairs_f[i][1]
-        b = _make_mode(profile, k, i, pairs_c[i][0], coarse.grid, pairs_c[i][1]).radial(fine.grid)
+        b = _interp(coarse.grid, pairs_c[i][1], fine.grid)
         if np.dot(a, b) < 0:
             b = -b
         v = _normalize(a + (a - b) / 3.0, fine.step)

@@ -39,6 +39,8 @@ _LN2 = np.log(2.0)
 # rescaling threshold for the normalized recurrence
 _BIG = 2.0**512
 _BIGI = 2.0**-512
+# most nodes stepped through the recurrence at once (see assoc_legendre_norm)
+_BLOCK = 16384
 
 
 @dataclass(frozen=True)
@@ -205,6 +207,10 @@ def assoc_legendre_norm(l: int, k: int, x):
     lands among the subnormals (next to a zero of N_j) sits below half an
     ulp of the other term in both scalings, so N_l^k is bit-identical to
     rescaling after every step.
+
+    Every step is elementwise, so arrays longer than 16 384 nodes are
+    evaluated in blocks of that size, bit-identically: stepping one long
+    array through l - k steps is memory-bound.
     """
     if not 0 <= k <= l:
         raise ValueError(f"need 0 <= k <= l, got l={l} k={k}")
@@ -213,8 +219,9 @@ def assoc_legendre_norm(l: int, k: int, x):
     x = np.atleast_1d(x)
     if np.any(np.abs(x) > 1.0 + 1e-14):
         raise ValueError("assoc_legendre_norm requires |x| <= 1")
-    out = _raise_degree(l, k, x, *_sectoral_seed(k, x))
-    return float(out[0]) if scalar else out
+    blocks = np.split(x.ravel(), range(_BLOCK, x.size, _BLOCK))
+    out = np.concatenate([_raise_degree(l, k, b, *_sectoral_seed(k, b)) for b in blocks])
+    return float(out[0]) if scalar else out.reshape(x.shape)
 
 
 def szego_main_term(k: int, theta):

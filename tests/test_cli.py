@@ -846,6 +846,7 @@ class TestScipyLoading:
         result = _run_child(_CHILD, json.dumps(argv))
         assert result["code"] == 0
         assert "scipy.linalg" in result["scipy"]
+        assert not [m for m in result["scipy"] if m.startswith("scipy.interpolate")]
 
 
 _CHILD_JSONSCHEMA = """

@@ -18,6 +18,7 @@ from qcilab import (
     solve_modes_cached,
 )
 from qcilab import _atomic
+from qcilab.eigensolve import _interp
 
 
 def _apply(system, v):
@@ -164,21 +165,30 @@ class TestJointEigenfunction:
         with pytest.raises(ValueError):
             mode.radial(1.5)
 
-    def test_spline_is_built_on_first_radial_call(self, sphere):
-        mode = solve_modes(sphere, 1, 2, N=1024)[1]
-        assert "_spline" not in vars(mode)
-        mode.radial(0.25)
-        assert "_spline" in vars(mode)
-
     def test_cached_mode_evaluates_bit_identically(self, sphere, tmp_path):
         saved = solve_modes(sphere, 2, 3, N=1024)
         save_modes(saved, str(tmp_path))
         loaded = load_modes(sphere, 2, 1024, 3, str(tmp_path))
         t = np.linspace(-1.0, 1.0, 257)  # reaches past the end nodes, into extrapolation
         for a, b in zip(saved, loaded):
-            assert "_spline" not in vars(b)
             assert a.radial(t).tobytes() == b.radial(t).tobytes()
             assert a.value(t, 0.7).tobytes() == b.value(t, 0.7).tobytes()
+
+
+class TestInterpolant:
+    def test_reproduces_a_cubic_beyond_the_outer_nodes(self):
+        grid = -1.0 + (np.arange(32) + 0.5) * (2.0 / 32)
+        cubic = np.polynomial.Polynomial([0.3, -1.7, 2.1, -0.9])
+        t = np.linspace(-1.0, 1.0, 2001)  # includes both segments past the outer nodes
+        assert t[0] < grid[0] and t[-1] > grid[-1]
+        assert np.max(np.abs(_interp(grid, cubic(grid), t) - cubic(t))) <= 1e-14
+
+    def test_radial_matches_normalized_legendre(self, sphere):
+        mode = solve_modes(sphere, 2, 3, N=4096)[2]  # l = 4, k = 2
+        t = np.linspace(-1.0, 1.0, 2001)
+        ref = assoc_legendre_norm(4, 2, t)
+        w = mode.radial(t)
+        assert np.max(np.abs(np.sign(np.dot(w, ref)) * w - ref)) <= 1e-8
 
 
 class TestModeCache:

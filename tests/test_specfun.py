@@ -203,6 +203,15 @@ class TestAssocLegendreNorm:
         with pytest.raises(ValueError):
             assoc_legendre_norm(3, 4, 0.0)
 
+    def test_long_array_matches_slice_by_slice_bytes(self):
+        # 40 000 nodes span three evaluation blocks; each block boundary
+        # falls inside one of the 1 000-node slices
+        x = np.random.default_rng(7).uniform(-1.0, 1.0, 40_000)
+        whole = assoc_legendre_norm(1600, 800, x)
+        sliced = np.concatenate([assoc_legendre_norm(1600, 800, x[i : i + 1000]) for i in range(0, len(x), 1000)])
+        assert whole.tobytes() == sliced.tobytes()
+        assert assoc_legendre_norm(1600, 800, x.reshape(200, 200)).tobytes() == whole.tobytes()
+
 
 def _per_step_loop(l, k, x, mant, chunks):
     # reference for the rescale interval: the coefficients recomputed and
