@@ -15,15 +15,20 @@ Discretization: uniform interior grid offset by half a step, t_i = -1 +
 (i + 1/2) dt. The divergence term is differenced in flux form with f^2
 evaluated at the half-offset points, which makes the matrix symmetric
 tridiagonal and kills the boundary flux identically (f^2(+-1) = 0), so
-no artificial boundary rows are needed. Eigenpairs come from bisection
-on Sturm sequences plus inverse iteration. The plain scheme is second
+no artificial boundary rows are needed. The plain scheme is second
 order; solve_modes sharpens it by Richardson extrapolation across the
 N and N/2 grids (eigenvalues combined as (4 a_N - a_{N/2})/3, radial
 vectors corrected through 4-point Lagrange resampling of the coarse
-solution).
+solution). Only the coarse grid is solved by bisection on Sturm
+sequences plus inverse iteration (eigenpairs). Each fine pair is refined
+from its resampled coarse vector by Rayleigh-quotient iteration, one
+O(N) tridiagonal solve per step, and must land within half the
+neighbouring coarse gaps of its coarse eigenvalue.
 
 Radial factors are normalized by 2 pi * sum(w^2) * dt = 1, the discrete
-form of the surface L2 normalization in the (t, phi) chart.
+form of the surface L2 normalization in the (t, phi) chart, and signed so
+that the entry of largest t among those of at least 1e-3 of the peak
+magnitude is positive.
 """
 
 from __future__ import annotations
@@ -100,11 +105,70 @@ def assemble_operator(profile: ProfileFunction, k: int, N: int) -> RadialOperato
 
 
 def _normalize(vec: np.ndarray, dt: float) -> np.ndarray:
-    """Scale to the discrete surface norm 2 pi sum(w^2) dt = 1, sign-fixed."""
+    """Scale to the discrete surface norm 2 pi sum(w^2) dt = 1, sign-fixed.
+
+    The sign makes the entry of largest t with |w| >= 1e-3 max|w| positive.
+    The peak alone would not fix it: a mode of a symmetric profile reaches
+    its peak magnitude at two mirrored entries, and roundoff picks one.
+    """
     w = vec / np.sqrt(2.0 * np.pi * np.sum(vec * vec) * dt)
-    if w[np.argmax(np.abs(w))] < 0:
+    mag = np.abs(w[::-1])
+    if w[-1 - np.argmax(mag >= 1e-3 * mag.max())] < 0:
         w = -w
     return w
+
+
+def _matvec(system: RadialOperator, v: np.ndarray) -> np.ndarray:
+    out = system.diag * v
+    out[:-1] += system.offdiag * v[1:]
+    out[1:] += system.offdiag * v[:-1]
+    return out
+
+
+# Rayleigh-quotient iteration stops once ||T x - sigma x|| <= _RQI_TOL eps ||T||
+# (its floor measured 5e-16 to 1.1e-15 of ||T||) and gives up after
+# _RQI_STEPS residual checks; from a resampled coarse mode it needs 2 to 4.
+_RQI_TOL = 16.0
+_RQI_STEPS = 8
+
+
+def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
+    """Refine start vector x to an eigenpair of `system` by Rayleigh-quotient iteration.
+
+    Returns (lam, vec) with vec of unit Euclidean norm and any sign.
+    Raises LinAlgError when the residual does not converge, or when lam
+    falls outside (lo, hi), the window that fixes which mode it must be.
+    """
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgtsv
+
+    d, e = system.diag, system.offdiag
+    tol = _RQI_TOL * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    x = x / np.linalg.norm(x)
+    for _ in range(_RQI_STEPS):
+        tx = _matvec(system, x)
+        lam = float(x @ tx)
+        # checked before each solve: at k = 0 the constant vector leaves no
+        # residual, and its shift would make the solve exactly singular
+        if np.linalg.norm(tx - lam * x) <= tol:
+            break
+        *_, y, info = dgtsv(e, d - lam, e, x)
+        if info > 0:  # lam is an eigenvalue to working precision; step off it
+            *_, y, info = dgtsv(e, d - (lam + tol), e, x)
+        if info != 0:
+            raise LinAlgError(f"tridiagonal solve failed (info={info}) at shift {lam!r}")
+        x = y / np.linalg.norm(y)
+    else:
+        raise LinAlgError(
+            f"Rayleigh-quotient iteration did not converge in {_RQI_STEPS} steps "
+            f"(k={system.k}, N={system.size})"
+        )
+    if not lo < lam < hi:
+        raise LinAlgError(
+            f"refined eigenvalue {lam!r} left its mode's window ({lo!r}, {hi!r}) "
+            f"(k={system.k}, N={system.size}): the coarse grid does not resolve this mode"
+        )
+    return lam, x
 
 
 def eigenpairs(system: RadialOperator, count: int):
@@ -207,24 +271,33 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
 
     Two-grid Richardson extrapolation over the plain second-order flux
     scheme: eigenvalues (4 lam_N - lam_{N/2})/3, radial vectors
-    w + (w - resample(w_coarse))/3, renormalized. N must be even and
-    at least 512 so the coarse grid stays valid.
+    w + (w - resample(w_coarse))/3, renormalized. Only the N/2 grid is
+    bisected; each fine pair is refined from its resampled coarse vector
+    and must stay within half the neighbouring coarse gaps of its coarse
+    eigenvalue, or LinAlgError is raised. N must be even and at least
+    512 so the coarse grid stays valid, and count at most N/8.
     """
     if N % 2 or N < 512:
         raise ValueError("solve_modes needs even N >= 512")
+    if not 1 <= count <= N // 8:
+        raise ValueError(f"count must be between 1 and N/8 = {N // 8}")
     fine = assemble_operator(profile, k, N)
     coarse = assemble_operator(profile, k, N // 2)
-    pairs_f = eigenpairs(fine, count)
-    pairs_c = eigenpairs(coarse, count)
+    # one pair past the last mode, when the coarse grid allows, gives it an upper gap
+    pairs_c = eigenpairs(coarse, min(count + 1, N // 8))
+    lams_c = [lam for lam, _ in pairs_c]
     modes = []
     for i in range(count):
-        lam = (4.0 * pairs_f[i][0] - pairs_c[i][0]) / 3.0
-        a = pairs_f[i][1]
-        b = _interp(coarse.grid, pairs_c[i][1], fine.grid)
+        lam_c, w_c = pairs_c[i]
+        below = lam_c - lams_c[i - 1] if i else lams_c[1] - lam_c
+        above = lams_c[i + 1] - lam_c if i + 1 < len(lams_c) else below
+        b = _interp(coarse.grid, w_c, fine.grid)
+        lam_f, a = _refine(fine, b, lam_c - below / 2, lam_c + above / 2)
+        a = _normalize(a, fine.step)
         if np.dot(a, b) < 0:
             b = -b
         v = _normalize(a + (a - b) / 3.0, fine.step)
-        modes.append(_make_mode(profile, k, i, lam, fine.grid, v))
+        modes.append(_make_mode(profile, k, i, (4.0 * lam_f - lam_c) / 3.0, fine.grid, v))
     return modes
 
 
@@ -235,6 +308,11 @@ def profile_hash(profile: ProfileFunction) -> str:
     return hashlib.sha256(profile.canonical_text().encode()).hexdigest()[:12]
 
 
+# stored in every slot and raised whenever the solver's output changes; a slot
+# holding another value (or none) was written by another solver and is a miss
+_SLOT_VERSION = 2
+
+
 def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str:
     return os.path.join(cache_dir, f"{profile_hash(profile)}_k{k}_N{N}.npz")
 
@@ -242,9 +320,10 @@ def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str
 def save_modes(modes, cache_dir: str) -> str:
     """Persist a family of modes (same profile, k, grid) as one .npz slot file.
 
-    The members are profile (its canonical text), k, N, eigenvalues
-    (count), grid (N) and radial (count x N). The file is published by a
-    single rename, and saving the same modes twice gives the same bytes.
+    The members are version (of the solver that wrote it), profile (its
+    canonical text), k, N, eigenvalues (count), grid (N) and radial
+    (count x N). The file is published by a single rename, and saving the
+    same modes twice gives the same bytes.
     """
     if not modes:
         raise ValueError("nothing to save")
@@ -254,6 +333,7 @@ def save_modes(modes, cache_dir: str) -> str:
     buf = io.BytesIO()
     np.savez(
         buf,
+        version=_SLOT_VERSION,
         profile=first.profile.canonical_text(),
         k=first.k,
         N=N,
@@ -270,13 +350,14 @@ def load_modes(profile: ProfileFunction, k: int, N: int, count: int, cache_dir: 
     """Load cached modes, or None when the slot is absent, too small or corrupt.
 
     A slot that is not a readable .npz (the zip CRC catches a flipped
-    data byte), lacks a member, was written for another profile, k or N,
-    holds fewer than `count` modes, or has arrays whose shape disagrees
-    with N reads as a miss, so the caller solves again and rewrites it.
+    data byte), lacks a member, was written by another solver version or
+    for another profile, k or N, holds fewer than `count` modes, or has
+    arrays whose shape disagrees with N reads as a miss, so the caller
+    solves again and rewrites it.
     """
     try:
         with np.load(_cache_slot(cache_dir, profile, k, N)) as slot:
-            stored = tuple(slot[name].item() for name in ("profile", "k", "N"))
+            stored = tuple(slot[name].item() for name in ("version", "profile", "k", "N"))
             lams, grid, radial = slot["eigenvalues"], slot["grid"], slot["radial"]
     # damaged bytes raise many types here: zipfile's BadZipFile, EOFError and
     # RuntimeError (an encryption flag), KeyError for a missing member, and
@@ -285,7 +366,7 @@ def load_modes(profile: ProfileFunction, k: int, N: int, count: int, cache_dir: 
     except Exception:
         return None
     valid = (
-        stored == (profile.canonical_text(), k, N)
+        stored == (_SLOT_VERSION, profile.canonical_text(), k, N)
         and {lams.dtype, grid.dtype, radial.dtype} == {np.dtype(float)}
         and lams.ndim == 1
         and len(lams) >= count

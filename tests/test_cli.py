@@ -186,6 +186,19 @@ class TestEigenCommand:
         )
         assert cli.main(["eigen", "--config", cfg, "--out", str(tmp_path)]) == 2
 
+    def test_unresolved_mode_exits_2_with_one_error_line(self, tmp_path, capsys):
+        # mode 36 of k = 2 is the first the N/2 = 512 grid no longer resolves
+        cfg = write_config(
+            tmp_path,
+            "eigen.json",
+            {"profile": SPHERE, "eigen": {"k": 2, "count": 40, "N": 1024}},
+        )
+        assert cli.main(["eigen", "--config", cfg, "--out", str(tmp_path)]) == 2
+        out, err = capsys.readouterr()
+        assert out == ""
+        assert len(err.splitlines()) == 1 and err.startswith("error: refined eigenvalue")
+        assert not (tmp_path / "cache").exists()
+
     @pytest.mark.parametrize(
         "corrupt",
         [

@@ -5,6 +5,7 @@ import os
 
 import numpy as np
 import pytest
+from scipy.linalg import LinAlgError
 
 from qcilab import (
     HarmonicIndex,
@@ -17,8 +18,8 @@ from qcilab import (
     solve_modes,
     solve_modes_cached,
 )
-from qcilab import _atomic
-from qcilab.eigensolve import _interp
+from qcilab import _atomic, eigensolve
+from qcilab.eigensolve import RadialOperator, _interp, _refine
 
 
 def _apply(system, v):
@@ -115,8 +116,26 @@ class TestSolveModes:
         modes = solve_modes(sphere, 10, 11, N=4096)
         mode = modes[10]  # l = 20
         ref = assoc_legendre_norm(20, 10, mode.radial_grid)
-        sign = np.sign(np.dot(ref, mode.radial_values))
-        assert np.max(np.abs(sign * mode.radial_values - ref)) <= 1e-5
+        assert np.max(np.abs(mode.radial_values - ref)) <= 1e-5
+
+    @pytest.mark.parametrize("k, count, N", [(20, 60, 4096), (50, 30, 4096), (40, 18, 16384)])
+    def test_sphere_modes_carry_the_sign_of_normalized_legendre(self, sphere, k, count, N):
+        # no sign alignment: the largest-t entry of at least 1e-3 of the peak
+        # is positive, and so is N_l^k there
+        for i, mode in enumerate(solve_modes(sphere, k, count, N=N)):
+            ref = assoc_legendre_norm(k + i, k, mode.radial_grid)
+            assert np.max(np.abs(mode.radial_values - ref)) <= 1e-5 * np.max(np.abs(ref))
+
+    def test_count_beyond_an_eighth_of_the_grid_rejected(self, sphere):
+        with pytest.raises(ValueError):
+            solve_modes(sphere, 0, 129, N=1024)
+
+    def test_unresolved_mode_raises(self, sphere):
+        # at k = 2, N = 1024 the coarse eigenvalue of mode 36 misses the fine
+        # one by more than half a gap, so the coarse grid no longer resolves it
+        solve_modes(sphere, 2, 36, N=1024)
+        with pytest.raises(LinAlgError, match="does not resolve"):
+            solve_modes(sphere, 2, 40, N=1024)
 
     def test_mode_metadata(self, sphere):
         modes = solve_modes(sphere, 2, 3, N=1024)
@@ -143,9 +162,8 @@ class TestJointEigenfunction:
         modes = solve_modes(sphere, 2, 3, N=4096)
         mode = modes[2]  # l = 4, k = 2
         ref = assoc_legendre_norm(4, 2, 0.0)
-        sign = np.sign(mode.radial(0.0) / ref)
         val = mode.value(0.0, 0.7)
-        expect = sign * ref * np.exp(2j * 0.7)
+        expect = ref * np.exp(2j * 0.7)
         assert val == pytest.approx(expect, abs=1e-8)
 
     def test_modulus_is_phi_invariant(self, sphere):
@@ -187,8 +205,93 @@ class TestInterpolant:
         mode = solve_modes(sphere, 2, 3, N=4096)[2]  # l = 4, k = 2
         t = np.linspace(-1.0, 1.0, 2001)
         ref = assoc_legendre_norm(4, 2, t)
-        w = mode.radial(t)
-        assert np.max(np.abs(np.sign(np.dot(w, ref)) * w - ref)) <= 1e-8
+        assert np.max(np.abs(mode.radial(t) - ref)) <= 1e-8
+
+
+def _refined_pairs(monkeypatch, profile, k, count, N):
+    """The fine pairs solve_modes refines, before the Richardson step."""
+    pairs = []
+
+    def record(system, x, lo, hi):
+        pairs.append(_refine(system, x, lo, hi))
+        return pairs[-1]
+
+    monkeypatch.setattr(eigensolve, "_refine", record)
+    solve_modes(profile, k, count, N=N)
+    return pairs
+
+
+def _norm(system):
+    return np.max(np.abs(system.diag)) + 2 * np.max(np.abs(system.offdiag))
+
+
+class TestRefine:
+    @pytest.mark.parametrize("k", [0, 1, 2, 30, 100])
+    @pytest.mark.parametrize("surface", ["sphere", "perturbed"])
+    def test_refined_pairs_match_bisection_on_the_fine_grid(
+        self, request, monkeypatch, surface, k
+    ):
+        profile = request.getfixturevalue(surface)
+        fine = assemble_operator(profile, k, 4096)
+        reference = eigenpairs(fine, 12)
+        refined = _refined_pairs(monkeypatch, profile, k, 12, 4096)
+        # bisection itself is accurate to about eps ||T|| in the eigenvalue,
+        # and its vectors to eps ||T|| / gap (1e-9 of the sup norm at k = 0)
+        for (lam, vec), (lam_ref, vec_ref) in zip(refined, reference):
+            assert abs(lam - lam_ref) <= 2 * np.finfo(float).eps * _norm(fine)
+            w = eigensolve._normalize(vec, fine.step)
+            assert np.max(np.abs(w - vec_ref)) <= 2e-8 * np.max(np.abs(vec_ref))
+
+    def test_refined_vectors_obey_sturm_oscillation(self, perturbed, monkeypatch):
+        # the j-th radial mode changes sign j times
+        for j, (_, vec) in enumerate(_refined_pairs(monkeypatch, perturbed, 1, 8, 2048)):
+            assert int(np.sum(np.sign(vec[:-1]) * np.sign(vec[1:]) < 0)) == j
+
+    def test_constant_mode_converges_without_a_solve(self, sphere, monkeypatch):
+        # T times the constant vector is exactly 0 at k = 0, so the shift 0
+        # would make the tridiagonal solve exactly singular
+        import scipy.linalg.lapack
+
+        def no_solve(*args, **kwargs):
+            raise AssertionError("dgtsv called")
+
+        monkeypatch.setattr(scipy.linalg.lapack, "dgtsv", no_solve)
+        system = assemble_operator(sphere, 0, 1024)
+        lam, vec = _refine(system, np.ones(1024), -1.0, 1.0)
+        assert lam == 0.0
+        assert np.all(vec == vec[0])
+
+    def test_constant_mode_of_solve_modes(self, perturbed):
+        mode = solve_modes(perturbed, 0, 3, N=1024)[0]
+        assert abs(mode.eigenvalue) <= 1e-8 and mode.h is None
+        # the positive constant of unit surface norm: 2 pi * 2 * w^2 = 1
+        assert np.max(np.abs(mode.radial_values * np.sqrt(4 * np.pi) - 1.0)) <= 1e-11
+
+    def test_exactly_singular_shift_steps_off(self):
+        # the start vector's Rayleigh quotient is exactly the middle eigenvalue
+        system = RadialOperator(
+            diag=np.array([0.0, 1.0, 2.0]), offdiag=np.zeros(2), grid=np.zeros(3), step=1.0, k=0
+        )
+        lam, vec = _refine(system, np.array([1.0, 1e-3, 1.0]), 0.5, 1.5)
+        assert lam == pytest.approx(1.0, abs=1e-14)
+        assert np.abs(vec) == pytest.approx([0.0, 1.0, 0.0], abs=1e-14)
+
+    def test_guard_rejects_a_start_vector_from_another_mode(self, sphere):
+        fine = assemble_operator(sphere, 2, 2048)
+        coarse = assemble_operator(sphere, 2, 1024)
+        pairs = eigenpairs(coarse, 7)
+        start = _interp(coarse.grid, pairs[3][1], fine.grid)
+        lo, hi = ((pairs[5][0] + pairs[j][0]) / 2 for j in (4, 6))
+        with pytest.raises(LinAlgError, match="window"):
+            _refine(fine, start, lo, hi)
+        lo, hi = ((pairs[3][0] + pairs[j][0]) / 2 for j in (2, 4))
+        assert _refine(fine, start, lo, hi)[0] == pytest.approx(5 * 6, rel=1e-5)
+
+    def test_no_convergence_within_the_step_cap_raises(self, sphere, monkeypatch):
+        monkeypatch.setattr(eigensolve, "_RQI_STEPS", 1)
+        system = assemble_operator(sphere, 2, 1024)
+        with pytest.raises(LinAlgError, match="did not converge"):
+            _refine(system, np.linspace(1.0, 2.0, 1024), -np.inf, np.inf)
 
 
 class TestModeCache:
@@ -237,7 +340,10 @@ class TestModeCache:
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [os.path.basename(slot)]
         assert slot.endswith("_k2_N1024.npz")
         with np.load(slot) as data:
-            assert sorted(data.files) == ["N", "eigenvalues", "grid", "k", "profile", "radial"]
+            assert sorted(data.files) == [
+                "N", "eigenvalues", "grid", "k", "profile", "radial", "version"
+            ]
+            assert data["version"].item() == eigensolve._SLOT_VERSION
             assert data["profile"].item() == sphere.canonical_text()
             assert (data["k"].item(), data["N"].item()) == (2, 1024)
             assert data["eigenvalues"].shape == (3,)
@@ -327,6 +433,9 @@ _CORRUPTIONS = {
     "encryption-flag": _central_header(8, 1),
     "unknown-compression": _central_header(10, 99),
     "npy-header": lambda raw: raw.replace(b"'shape': (1024,)", b"'shape': )1024,)", 1),
+    # the six-member layout of slots written before the version member
+    "version-missing": _rewrite(version=_DROP),
+    "version-differs": _rewrite(version=lambda v: v - 1),
 }
 
 
