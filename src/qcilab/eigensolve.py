@@ -19,11 +19,15 @@ no artificial boundary rows are needed. The plain scheme is second
 order; solve_modes sharpens it by Richardson extrapolation across the
 N and N/2 grids (eigenvalues combined as (4 a_N - a_{N/2})/3, radial
 vectors corrected through 4-point Lagrange resampling of the coarse
-solution). Only the coarse grid is solved by bisection on Sturm
-sequences plus inverse iteration (eigenpairs). Each fine pair is refined
-from its resampled coarse vector by Rayleigh-quotient iteration, one
-O(N) tridiagonal solve per step, and must land within half the
-neighbouring coarse gaps of its coarse eigenvalue.
+solution). Both grids get their vectors from one Rayleigh-quotient
+iteration (_refine), one O(N) tridiagonal solve per step. On the coarse
+grid (eigenpairs) it starts from two inverse-iteration solves at an
+eigenvalue bisected on Sturm sequences only to a tolerance that the
+smallest gap certifies, and stays within half the gaps to the
+neighbouring eigenvalues. Each fine pair starts from its resampled coarse
+vector and must land within half the neighbouring coarse gaps of its
+coarse eigenvalue; a miss means the coarse grid does not resolve that
+mode.
 
 Radial factors are normalized by 2 pi * sum(w^2) * dt = 1, the discrete
 form of the surface L2 normalization in the (t, phi) chart, and signed so
@@ -125,11 +129,37 @@ def _matvec(system: RadialOperator, v: np.ndarray) -> np.ndarray:
     return out
 
 
+def _norm(system: RadialOperator) -> float:
+    """max|d| + 2 max|e|, a bound on the spectral norm ||T||."""
+    return float(np.max(np.abs(system.diag)) + 2.0 * np.max(np.abs(system.offdiag)))
+
+
 # Rayleigh-quotient iteration stops once ||T x - sigma x|| <= _RQI_TOL eps ||T||
 # (its floor measured 5e-16 to 1.1e-15 of ||T||) and gives up after
-# _RQI_STEPS residual checks; from a resampled coarse mode it needs 2 to 4.
+# _RQI_STEPS residual checks. It needs 2 to 4 from a resampled coarse mode
+# (fine grid), and 1 or 2 after eigenpairs' two inverse-iteration solves at
+# a loosely bisected eigenvalue (coarse grid).
 _RQI_TOL = 16.0
 _RQI_STEPS = 8
+
+
+def _solve(system: RadialOperator, shift: float, x: np.ndarray, step_off: float) -> np.ndarray:
+    """(T - shift) y = x by one O(N) tridiagonal solve, y of unit norm.
+
+    When shift is an eigenvalue to working precision the factorization
+    meets an exactly zero pivot; the solve is then repeated at shift +
+    step_off.
+    """
+    from scipy.linalg import LinAlgError
+    from scipy.linalg.lapack import dgtsv
+
+    d, e = system.diag, system.offdiag
+    *_, y, info = dgtsv(e, d - shift, e, x)
+    if info > 0:
+        *_, y, info = dgtsv(e, d - (shift + step_off), e, x)
+    if info != 0:
+        raise LinAlgError(f"tridiagonal solve failed (info={info}) at shift {shift!r}")
+    return y / np.linalg.norm(y)
 
 
 def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
@@ -140,10 +170,8 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
     falls outside (lo, hi), the window that fixes which mode it must be.
     """
     from scipy.linalg import LinAlgError
-    from scipy.linalg.lapack import dgtsv
 
-    d, e = system.diag, system.offdiag
-    tol = _RQI_TOL * np.finfo(float).eps * (np.max(np.abs(d)) + 2.0 * np.max(np.abs(e)))
+    tol = _RQI_TOL * np.finfo(float).eps * _norm(system)
     x = x / np.linalg.norm(x)
     for _ in range(_RQI_STEPS):
         tx = _matvec(system, x)
@@ -152,12 +180,7 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
         # residual, and its shift would make the solve exactly singular
         if np.linalg.norm(tx - lam * x) <= tol:
             break
-        *_, y, info = dgtsv(e, d - lam, e, x)
-        if info > 0:  # lam is an eigenvalue to working precision; step off it
-            *_, y, info = dgtsv(e, d - (lam + tol), e, x)
-        if info != 0:
-            raise LinAlgError(f"tridiagonal solve failed (info={info}) at shift {lam!r}")
-        x = y / np.linalg.norm(y)
+        x = _solve(system, lam, x, tol)
     else:
         raise LinAlgError(
             f"Rayleigh-quotient iteration did not converge in {_RQI_STEPS} steps "
@@ -166,7 +189,7 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
     if not lo < lam < hi:
         raise LinAlgError(
             f"refined eigenvalue {lam!r} left its mode's window ({lo!r}, {hi!r}) "
-            f"(k={system.k}, N={system.size}): the coarse grid does not resolve this mode"
+            f"(k={system.k}, N={system.size})"
         )
     return lam, x
 
@@ -174,27 +197,81 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
 def eigenpairs(system: RadialOperator, count: int):
     """First `count` eigenpairs of the assembled system, ascending.
 
-    Bisection on Sturm sequences locates the eigenvalues; inverse
-    iteration recovers the eigenvectors. Vectors are returned in the
-    radial normalization 2 pi sum(w^2) dt = 1, which makes distinct
-    modes orthonormal in the discrete weighted inner product.
+    Bisection on Sturm sequences locates count + 1 eigenvalues to the
+    tolerance 1e-8 ||T||, which is certified when 16 times it is at most
+    the smallest gap between them; otherwise they are bisected again to a
+    tolerance set from that gap, down to full precision. Each pair then
+    takes two inverse-iteration solves at its bisected eigenvalue from a
+    fixed start, Rayleigh-quotient iteration (_refine) inside the window
+    halfway to its neighbours, and one last solve at the converged
+    eigenvalue. The certificate puts exactly one eigenvalue in each
+    window, so a window miss raises LinAlgError only as a solver fault.
+    Eigenvalues that full-precision bisection cannot separate (a
+    symmetric profile's pole-localised grid modes at high index) share
+    one window and get mutually orthogonal vectors.
+
+    Vectors are returned in the radial normalization 2 pi sum(w^2) dt =
+    1, which makes distinct modes orthonormal in the discrete weighted
+    inner product.
     """
     if count < 1:
         raise ValueError("count must be positive")
     if count > system.size // 4:
         raise ValueError(f"count must be at most N/4 = {system.size // 4}")
-    from scipy.linalg import LinAlgError, eigh_tridiagonal
+    from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
 
-    try:
-        lam, vec = eigh_tridiagonal(
-            system.diag, system.offdiag, select="i", select_range=(0, count - 1)
-        )
-    except LinAlgError as exc:
-        raise LinAlgError(
-            f"radial eigensolve failed to converge for modes 0..{count - 1} "
-            f"(k={system.k}, N={system.size}): {exc}"
-        ) from exc
-    return [(float(lam[i]), _normalize(vec[:, i], system.step)) for i in range(count)]
+    d, e, n = system.diag, system.offdiag, system.size
+    norm = _norm(system)
+    floor = np.finfo(float).eps * norm  # about the accuracy of full-precision bisection
+    tol = 1e-8 * norm
+    while True:
+        try:
+            lams = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count), tol=tol)
+        except LinAlgError as exc:
+            raise LinAlgError(
+                f"radial bisection failed for modes 0..{count} (k={system.k}, N={n}): {exc}"
+            ) from exc
+        gaps = np.diff(lams)
+        if tol == 0.0 or 16.0 * tol <= gaps.min():
+            break
+        # bisect again to a tolerance the smallest gap certifies, or at full precision (0)
+        tol = gaps.min() / 32.0 if gaps.min() > 64.0 * floor else 0.0
+    # Each window reaches halfway to the next eigenvalue that bisection separates
+    # from this one. Closer ones (left only at tol = 0, such as the pole-localised
+    # pairs of a symmetric profile) are one eigenvalue to working precision: they
+    # share a window, and their vectors are kept orthogonal to each other.
+    split = gaps > 32.0 * floor
+    mids = np.where(split, (lams[:-1] + lams[1:]) / 2, np.nan)
+    lo = np.fmax.accumulate(np.concatenate([[-np.inf], mids]))
+    hi = np.fmin.accumulate(np.concatenate([mids, [np.inf]])[::-1])[::-1]
+    cluster = []
+
+    def inverse_step(shift, x):
+        y = _solve(system, shift, x, _RQI_TOL * floor)
+        if not cluster:
+            return y
+        for v in cluster:
+            y -= (v @ y) * v
+        return y / np.linalg.norm(y)
+
+    # a fixed start for every pair; a constant one would be the k = 0 mode itself
+    start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
+    pairs = []
+    for i in range(count):
+        if i and split[i - 1]:
+            cluster.clear()
+        x = inverse_step(lams[i], inverse_step(lams[i], start))
+        try:
+            lam, x = _refine(system, x, float(lo[i]), float(hi[i]))
+        except LinAlgError as exc:
+            # two solves at a certified eigenvalue leave a start inside its window
+            raise LinAlgError(f"radial eigensolve failed for mode {i} (k={system.k}, N={n}): {exc}") from exc
+        x = inverse_step(lam, x)
+        cluster.append(x)
+        if len(cluster) > 1 or not split[i]:
+            lam = float(lams[i])  # a cluster's members are bisected at full precision, in order
+        pairs.append((lam, _normalize(x, system.step)))
+    return pairs
 
 
 @dataclass(frozen=True, eq=False)
@@ -272,15 +349,19 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     Two-grid Richardson extrapolation over the plain second-order flux
     scheme: eigenvalues (4 lam_N - lam_{N/2})/3, radial vectors
     w + (w - resample(w_coarse))/3, renormalized. Only the N/2 grid is
-    bisected; each fine pair is refined from its resampled coarse vector
-    and must stay within half the neighbouring coarse gaps of its coarse
-    eigenvalue, or LinAlgError is raised. N must be even and at least
-    512 so the coarse grid stays valid, and count at most N/8.
+    bisected (eigenpairs); each fine pair is refined from its resampled
+    coarse vector and must stay within half the neighbouring coarse gaps
+    of its coarse eigenvalue. Otherwise LinAlgError names the first mode
+    the coarse grid does not resolve, say i: count <= i, or a larger N,
+    works. N must be even and at least 512 so the coarse grid stays
+    valid, and count at most N/8.
     """
     if N % 2 or N < 512:
         raise ValueError("solve_modes needs even N >= 512")
     if not 1 <= count <= N // 8:
         raise ValueError(f"count must be between 1 and N/8 = {N // 8}")
+    from scipy.linalg import LinAlgError
+
     fine = assemble_operator(profile, k, N)
     coarse = assemble_operator(profile, k, N // 2)
     # one pair past the last mode, when the coarse grid allows, gives it an upper gap
@@ -292,7 +373,13 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
         below = lam_c - lams_c[i - 1] if i else lams_c[1] - lam_c
         above = lams_c[i + 1] - lam_c if i + 1 < len(lams_c) else below
         b = _interp(coarse.grid, w_c, fine.grid)
-        lam_f, a = _refine(fine, b, lam_c - below / 2, lam_c + above / 2)
+        try:
+            lam_f, a = _refine(fine, b, lam_c - below / 2, lam_c + above / 2)
+        except LinAlgError as exc:
+            raise LinAlgError(
+                f"{exc}: the coarse grid does not resolve mode {i}; "
+                f"count <= {i} or a larger N works"
+            ) from exc
         a = _normalize(a, fine.step)
         if np.dot(a, b) < 0:
             b = -b
@@ -310,7 +397,7 @@ def profile_hash(profile: ProfileFunction) -> str:
 
 # stored in every slot and raised whenever the solver's output changes; a slot
 # holding another value (or none) was written by another solver and is a miss
-_SLOT_VERSION = 2
+_SLOT_VERSION = 3
 
 
 def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str:

@@ -5,7 +5,7 @@ import os
 
 import numpy as np
 import pytest
-from scipy.linalg import LinAlgError
+from scipy.linalg import LinAlgError, eigh_tridiagonal
 
 from qcilab import (
     HarmonicIndex,
@@ -13,6 +13,7 @@ from qcilab import (
     assoc_legendre_norm,
     eigenpairs,
     load_modes,
+    make_profile,
     profile_hash,
     save_modes,
     solve_modes,
@@ -134,8 +135,11 @@ class TestSolveModes:
         # at k = 2, N = 1024 the coarse eigenvalue of mode 36 misses the fine
         # one by more than half a gap, so the coarse grid no longer resolves it
         solve_modes(sphere, 2, 36, N=1024)
-        with pytest.raises(LinAlgError, match="does not resolve"):
+        with pytest.raises(LinAlgError, match="does not resolve") as info:
             solve_modes(sphere, 2, 40, N=1024)
+        # the message names the first unresolved mode and the largest count that works
+        assert "does not resolve mode 36;" in str(info.value)
+        assert "count <= 36 or a larger N works" in str(info.value)
 
     def test_mode_metadata(self, sphere):
         modes = solve_modes(sphere, 2, 3, N=1024)
@@ -209,12 +213,18 @@ class TestInterpolant:
 
 
 def _refined_pairs(monkeypatch, profile, k, count, N):
-    """The fine pairs solve_modes refines, before the Richardson step."""
+    """The fine pairs solve_modes refines, before the Richardson step.
+
+    eigenpairs refines the coarse pairs through the same _refine; only the
+    calls on the N-point grid are recorded.
+    """
     pairs = []
 
     def record(system, x, lo, hi):
-        pairs.append(_refine(system, x, lo, hi))
-        return pairs[-1]
+        pair = _refine(system, x, lo, hi)
+        if system.size == N:
+            pairs.append(pair)
+        return pair
 
     monkeypatch.setattr(eigensolve, "_refine", record)
     solve_modes(profile, k, count, N=N)
@@ -225,6 +235,12 @@ def _norm(system):
     return np.max(np.abs(system.diag)) + 2 * np.max(np.abs(system.offdiag))
 
 
+def _full_precision_pairs(system, count):
+    """LAPACK's full-precision bisection and inverse iteration, normalized."""
+    lams, vecs = eigh_tridiagonal(system.diag, system.offdiag, select="i", select_range=(0, count - 1))
+    return [(lams[i], eigensolve._normalize(vecs[:, i], system.step)) for i in range(count)]
+
+
 class TestRefine:
     @pytest.mark.parametrize("k", [0, 1, 2, 30, 100])
     @pytest.mark.parametrize("surface", ["sphere", "perturbed"])
@@ -233,8 +249,10 @@ class TestRefine:
     ):
         profile = request.getfixturevalue(surface)
         fine = assemble_operator(profile, k, 4096)
-        reference = eigenpairs(fine, 12)
+        # not eigenpairs, which shares _refine with the path under test
+        reference = _full_precision_pairs(fine, 12)
         refined = _refined_pairs(monkeypatch, profile, k, 12, 4096)
+        assert len(refined) == 12
         # bisection itself is accurate to about eps ||T|| in the eigenvalue,
         # and its vectors to eps ||T|| / gap (1e-9 of the sup norm at k = 0)
         for (lam, vec), (lam_ref, vec_ref) in zip(refined, reference):
@@ -292,6 +310,88 @@ class TestRefine:
         system = assemble_operator(sphere, 2, 1024)
         with pytest.raises(LinAlgError, match="did not converge"):
             _refine(system, np.linspace(1.0, 2.0, 1024), -np.inf, np.inf)
+
+
+def _two_blocks(shift):
+    """Two uncoupled copies of tridiag(-1, 2, -1) of size 8, the second shifted by `shift`."""
+    diag = np.concatenate([np.full(8, 2.0), np.full(8, 2.0 + shift)])
+    off = np.concatenate([-np.ones(7), [0.0], -np.ones(7)])
+    return RadialOperator(diag=diag, offdiag=off, grid=np.zeros(16), step=1.0, k=0)
+
+
+def _bisection_tolerances(monkeypatch):
+    import scipy.linalg
+
+    tols = []
+    bisect = scipy.linalg.eigvalsh_tridiagonal
+
+    def record(*args, **kwargs):
+        tols.append(kwargs["tol"])
+        return bisect(*args, **kwargs)
+
+    monkeypatch.setattr(scipy.linalg, "eigvalsh_tridiagonal", record)
+    return tols
+
+
+class TestCoarsePairs:
+    @pytest.mark.parametrize("N, count", [(2048, 12), (2048, 60), (4096, 12), (8192, 16)])
+    @pytest.mark.parametrize("k", [0, 1, 2, 30, 100])
+    @pytest.mark.parametrize("coeffs", [[], [1.0, 0.2, 0.05]])
+    def test_pairs_match_full_precision_bisection(self, coeffs, k, N, count):
+        profile = make_profile("polynomial-perturbed", coeffs) if coeffs else make_profile("sphere", [])
+        system = assemble_operator(profile, k, N)
+        eps = np.finfo(float).eps
+        for (lam, vec), (lam_ref, vec_ref) in zip(
+            eigenpairs(system, count), _full_precision_pairs(system, count), strict=True
+        ):
+            assert abs(lam - lam_ref) <= 2 * eps * _norm(system)
+            assert np.max(np.abs(vec - vec_ref)) <= 2e-8 * np.max(np.abs(vec_ref))
+
+    def test_gap_below_the_certified_tolerance_is_bisected_again(self, monkeypatch):
+        # eigenvalues 5e-7 apart, below 16 times the first tolerance 1e-8 ||T||
+        system = _two_blocks(5e-7)
+        tols = _bisection_tolerances(monkeypatch)
+        pairs = eigenpairs(system, 4)
+        assert tols[0] == 1e-8 * _norm(system)
+        assert len(tols) == 2 and 0 < 16 * tols[1] <= 5e-7
+        for (lam, vec), (lam_ref, vec_ref) in zip(pairs, _full_precision_pairs(system, 4), strict=True):
+            assert abs(lam - lam_ref) <= 2 * np.finfo(float).eps * _norm(system)
+            assert np.max(np.abs(vec - vec_ref)) <= 2e-8 * np.max(np.abs(vec_ref))
+
+    def test_eigenvalues_bisection_cannot_separate_get_orthogonal_vectors(self, monkeypatch):
+        # two identical blocks: every eigenvalue is double, so full precision
+        # (tol = 0) is reached and each pair shares one window
+        system = _two_blocks(0.0)
+        tols = _bisection_tolerances(monkeypatch)
+        pairs = eigenpairs(system, 3)
+        assert tols[-1] == 0.0
+        lams_ref = [lam for lam, _ in _full_precision_pairs(system, 3)]
+        vecs = np.array([vec for _, vec in pairs])
+        for (lam, vec), lam_ref in zip(pairs, lams_ref, strict=True):
+            assert abs(lam - lam_ref) <= 2 * np.finfo(float).eps * _norm(system)
+            residual = np.linalg.norm(_apply(system, vec) - lam * vec) / np.linalg.norm(vec)
+            assert residual <= 16 * np.finfo(float).eps * _norm(system)
+        assert np.max(np.abs(2 * np.pi * vecs @ vecs.T - np.eye(3))) <= 1e-12
+
+    def test_degenerate_coarse_pole_pairs_do_not_stop_the_solve(self, sphere):
+        # at k = 20 the N/2 = 2048 sphere grid has pole-localised eigenvalue
+        # pairs equal in floating point from index 371 on; the solve still
+        # reaches the first mode the coarse grid does not resolve, 153
+        with pytest.raises(LinAlgError, match="does not resolve mode 153;"):
+            solve_modes(sphere, 20, 512, N=4096)
+
+    def test_solve_modes_runs_without_eigh_tridiagonal_or_stein(self, sphere, monkeypatch):
+        import scipy.linalg
+        import scipy.linalg.lapack
+
+        def refuse(*args, **kwargs):
+            raise AssertionError("full-precision eigenvector routine called")
+
+        monkeypatch.setattr(scipy.linalg, "eigh_tridiagonal", refuse)
+        monkeypatch.setattr(scipy.linalg.lapack, "dstein", refuse)
+        for i, mode in enumerate(solve_modes(sphere, 20, 10, N=4096)):
+            l = 20 + i
+            assert mode.eigenvalue == pytest.approx(l * (l + 1), rel=1e-9)
 
 
 class TestModeCache:
