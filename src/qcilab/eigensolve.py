@@ -162,12 +162,17 @@ def _solve(system: RadialOperator, shift: float, x: np.ndarray, step_off: float)
     return y / np.linalg.norm(y)
 
 
+class _WindowMiss(np.linalg.LinAlgError):  # the class scipy.linalg raises as LinAlgError
+    """A refined eigenvalue outside the window that fixes which mode it is."""
+
+
 def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
     """Refine start vector x to an eigenpair of `system` by Rayleigh-quotient iteration.
 
     Returns (lam, vec) with vec of unit Euclidean norm and any sign.
-    Raises LinAlgError when the residual does not converge, or when lam
-    falls outside (lo, hi), the window that fixes which mode it must be.
+    Raises LinAlgError when the residual does not converge, and its
+    subclass _WindowMiss when lam falls outside (lo, hi), the window that
+    fixes which mode it must be.
     """
     from scipy.linalg import LinAlgError
 
@@ -187,7 +192,7 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
             f"(k={system.k}, N={system.size})"
         )
     if not lo < lam < hi:
-        raise LinAlgError(
+        raise _WindowMiss(
             f"refined eigenvalue {lam!r} left its mode's window ({lo!r}, {hi!r}) "
             f"(k={system.k}, N={system.size})"
         )
@@ -199,16 +204,17 @@ def eigenpairs(system: RadialOperator, count: int):
 
     Bisection on Sturm sequences locates count + 1 eigenvalues to the
     tolerance 1e-8 ||T||, which is certified when 16 times it is at most
-    the smallest gap between them; otherwise they are bisected again to a
-    tolerance set from that gap, down to full precision. Each pair then
-    takes two inverse-iteration solves at its bisected eigenvalue from a
-    fixed start, Rayleigh-quotient iteration (_refine) inside the window
-    halfway to its neighbours, and one last solve at the converged
-    eigenvalue. The certificate puts exactly one eigenvalue in each
-    window, so a window miss raises LinAlgError only as a solver fault.
-    Eigenvalues that full-precision bisection cannot separate (a
-    symmetric profile's pole-localised grid modes at high index) share
-    one window and get mutually orthogonal vectors.
+    the smallest gap between them; otherwise they are bisected again at
+    full precision. Each pair then takes two inverse-iteration solves at
+    its bisected eigenvalue from a fixed start, Rayleigh-quotient
+    iteration (_refine) inside the window halfway to its neighbours, and
+    one last solve at the converged eigenvalue. The certificate puts
+    exactly one eigenvalue in each window, so a window miss raises
+    LinAlgError only as a solver fault. Eigenvalues that full-precision
+    bisection cannot separate (a symmetric profile's pole-localised grid
+    modes at high index) share one window. Those and eigenvalues within
+    1e-3 of each other relatively get vectors orthogonalised against each
+    other; other vectors are orthogonal to about eps ||T|| / gap.
 
     Vectors are returned in the radial normalization 2 pi sum(w^2) dt =
     1, which makes distinct modes orthonormal in the discrete weighted
@@ -223,25 +229,29 @@ def eigenpairs(system: RadialOperator, count: int):
     d, e, n = system.diag, system.offdiag, system.size
     norm = _norm(system)
     floor = np.finfo(float).eps * norm  # about the accuracy of full-precision bisection
-    tol = 1e-8 * norm
-    while True:
+
+    def bisect(tol):
         try:
-            lams = eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count), tol=tol)
+            return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count), tol=tol)
         except LinAlgError as exc:
             raise LinAlgError(
                 f"radial bisection failed for modes 0..{count} (k={system.k}, N={n}): {exc}"
             ) from exc
-        gaps = np.diff(lams)
-        if tol == 0.0 or 16.0 * tol <= gaps.min():
-            break
-        # bisect again to a tolerance the smallest gap certifies, or at full precision (0)
-        tol = gaps.min() / 32.0 if gaps.min() > 64.0 * floor else 0.0
+
+    tol = 1e-8 * norm
+    lams = bisect(tol)
+    if 16.0 * tol > np.diff(lams).min():
+        lams = bisect(0.0)  # the smallest gap does not certify it: full precision
+    gaps = np.diff(lams)
     # Each window reaches halfway to the next eigenvalue that bisection separates
-    # from this one. Closer ones (left only at tol = 0, such as the pole-localised
-    # pairs of a symmetric profile) are one eigenvalue to working precision: they
-    # share a window, and their vectors are kept orthogonal to each other.
-    split = gaps > 32.0 * floor
-    mids = np.where(split, (lams[:-1] + lams[1:]) / 2, np.nan)
+    # from this one. Closer ones (such as the pole-localised pairs of a symmetric
+    # profile) are one eigenvalue to working precision and share a window. Both
+    # they and eigenvalues within 1e-3 of each other relatively, whose vectors
+    # inverse iteration alone separates only to eps ||T|| / gap, are kept
+    # orthogonal to each other.
+    shared = gaps <= 32.0 * floor
+    near = shared | (gaps < 1e-3 * np.abs(lams[1:]))
+    mids = np.where(shared, np.nan, (lams[:-1] + lams[1:]) / 2)
     lo = np.fmax.accumulate(np.concatenate([[-np.inf], mids]))
     hi = np.fmin.accumulate(np.concatenate([mids, [np.inf]])[::-1])[::-1]
     cluster = []
@@ -258,7 +268,7 @@ def eigenpairs(system: RadialOperator, count: int):
     start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
     pairs = []
     for i in range(count):
-        if i and split[i - 1]:
+        if i and not near[i - 1]:
             cluster.clear()
         x = inverse_step(lams[i], inverse_step(lams[i], start))
         try:
@@ -268,8 +278,8 @@ def eigenpairs(system: RadialOperator, count: int):
             raise LinAlgError(f"radial eigensolve failed for mode {i} (k={system.k}, N={n}): {exc}") from exc
         x = inverse_step(lam, x)
         cluster.append(x)
-        if len(cluster) > 1 or not split[i]:
-            lam = float(lams[i])  # a cluster's members are bisected at full precision, in order
+        if shared[i] or (i and shared[i - 1]):
+            lam = float(lams[i])  # a shared window's members, bisected at full precision, in order
         pairs.append((lam, _normalize(x, system.step)))
     return pairs
 
@@ -353,8 +363,9 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     coarse vector and must stay within half the neighbouring coarse gaps
     of its coarse eigenvalue. Otherwise LinAlgError names the first mode
     the coarse grid does not resolve, say i: count <= i, or a larger N,
-    works. N must be even and at least 512 so the coarse grid stays
-    valid, and count at most N/8.
+    works; other failures of the refinement pass unchanged. N must be
+    even and at least 512 so the coarse grid stays valid, and count at
+    most N/8.
     """
     if N % 2 or N < 512:
         raise ValueError("solve_modes needs even N >= 512")
@@ -375,7 +386,7 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
         b = _interp(coarse.grid, w_c, fine.grid)
         try:
             lam_f, a = _refine(fine, b, lam_c - below / 2, lam_c + above / 2)
-        except LinAlgError as exc:
+        except _WindowMiss as exc:
             raise LinAlgError(
                 f"{exc}: the coarse grid does not resolve mode {i}; "
                 f"count <= {i} or a larger N works"

@@ -141,6 +141,18 @@ class TestSolveModes:
         assert "does not resolve mode 36;" in str(info.value)
         assert "count <= 36 or a larger N works" in str(info.value)
 
+    def test_other_refine_failures_pass_through(self, sphere, monkeypatch):
+        # only a window miss means the coarse grid does not resolve a mode
+        def fail_on_the_fine_grid(system, x, lo, hi):
+            if system.size == 1024:
+                raise LinAlgError("did not converge")
+            return _refine(system, x, lo, hi)
+
+        monkeypatch.setattr(eigensolve, "_refine", fail_on_the_fine_grid)
+        with pytest.raises(LinAlgError) as info:
+            solve_modes(sphere, 2, 3, N=1024)
+        assert str(info.value) == "did not converge"
+
     def test_mode_metadata(self, sphere):
         modes = solve_modes(sphere, 2, 3, N=1024)
         assert [m.l_index for m in modes] == [0, 1, 2]
@@ -285,6 +297,12 @@ class TestRefine:
         # the positive constant of unit surface norm: 2 pi * 2 * w^2 = 1
         assert np.max(np.abs(mode.radial_values * np.sqrt(4 * np.pi) - 1.0)) <= 1e-11
 
+    def test_constant_mode_at_a_fine_grid(self, sphere):
+        # the last inverse-iteration solve of each coarse pair takes the
+        # constant mode here from 1.7e-10 to 2.7e-13 of 1/sqrt(4 pi)
+        mode = solve_modes(sphere, 0, 3, N=16384)[0]
+        assert np.max(np.abs(mode.radial_values * np.sqrt(4 * np.pi) - 1.0)) <= 1e-11
+
     def test_exactly_singular_shift_steps_off(self):
         # the start vector's Rayleigh quotient is exactly the middle eigenvalue
         system = RadialOperator(
@@ -352,8 +370,8 @@ class TestCoarsePairs:
         system = _two_blocks(5e-7)
         tols = _bisection_tolerances(monkeypatch)
         pairs = eigenpairs(system, 4)
-        assert tols[0] == 1e-8 * _norm(system)
-        assert len(tols) == 2 and 0 < 16 * tols[1] <= 5e-7
+        # the smallest gap does not certify the first tolerance: full precision
+        assert tols == [1e-8 * _norm(system), 0.0]
         for (lam, vec), (lam_ref, vec_ref) in zip(pairs, _full_precision_pairs(system, 4), strict=True):
             assert abs(lam - lam_ref) <= 2 * np.finfo(float).eps * _norm(system)
             assert np.max(np.abs(vec - vec_ref)) <= 2e-8 * np.max(np.abs(vec_ref))
@@ -371,6 +389,18 @@ class TestCoarsePairs:
             assert abs(lam - lam_ref) <= 2 * np.finfo(float).eps * _norm(system)
             residual = np.linalg.norm(_apply(system, vec) - lam * vec) / np.linalg.norm(vec)
             assert residual <= 16 * np.finfo(float).eps * _norm(system)
+        assert np.max(np.abs(2 * np.pi * vecs @ vecs.T - np.eye(3))) <= 1e-12
+
+    def test_eigenvalues_just_apart_get_orthogonal_vectors(self):
+        # a gap of about 34 eps ||T||: separate windows, but inverse iteration
+        # alone leaves the two vectors only eps ||T|| / gap apart
+        system = _two_blocks(3e-14)
+        pairs = eigenpairs(system, 3)
+        assert np.diff([lam for lam, _ in pairs])[0] > 32 * np.finfo(float).eps * _norm(system)
+        for lam, vec in pairs:
+            residual = np.linalg.norm(_apply(system, vec) - lam * vec) / np.linalg.norm(vec)
+            assert residual <= 16 * np.finfo(float).eps * _norm(system)
+        vecs = np.array([vec for _, vec in pairs])
         assert np.max(np.abs(2 * np.pi * vecs @ vecs.T - np.eye(3))) <= 1e-12
 
     def test_degenerate_coarse_pole_pairs_do_not_stop_the_solve(self, sphere):
