@@ -10,7 +10,7 @@ _UMASK = os.umask(0o022)
 os.umask(_UMASK)
 
 
-def _atomic_write(path: str, data: str | bytes):
+def _atomic_write(path: str, data: str | bytes | bytearray):
     """Write text or bytes to path through a unique temp file and one rename.
 
     The temp file sits in the target directory, so concurrent writers never
@@ -24,7 +24,7 @@ def _atomic_write(path: str, data: str | bytes):
     except OSError as exc:
         raise OSError(exc.errno, exc.strerror, path) from None
     try:
-        with os.fdopen(fd, "wb" if isinstance(data, bytes) else "w") as fh:
+        with os.fdopen(fd, "w" if isinstance(data, str) else "wb") as fh:
             fh.write(data)
         os.chmod(tmp, 0o666 & ~_UMASK)
         os.replace(tmp, path)

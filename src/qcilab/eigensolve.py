@@ -38,8 +38,9 @@ magnitude is positive.
 from __future__ import annotations
 
 import hashlib
-import io
+import json
 import os
+import zlib
 from dataclasses import dataclass
 from typing import Optional
 
@@ -100,12 +101,17 @@ def assemble_operator(profile: ProfileFunction, k: int, N: int) -> RadialOperato
     if N < 20 * k:
         raise ValueError(f"grid too coarse relative to k: need N >= 20*k = {20 * k}")
     dt = 2.0 / N
-    t = -1.0 + (np.arange(N) + 0.5) * dt
+    t = _grid(N)
     half = -1.0 + np.arange(N + 1) * dt
     p = profile.sq(half)  # f^2 at half-offset points; p[0] = p[N] = 0
     diag = (p[:-1] + p[1:]) / dt**2 + (k * k) / profile.sq(t)
     off = -p[1:-1] / dt**2
     return RadialOperator(diag=diag, offdiag=off, grid=t, step=dt, k=k)
+
+
+def _grid(N: int) -> np.ndarray:
+    """Interior nodes t_i = -1 + (i + 1/2) dt, dt = 2/N, of the operator and of cache hits."""
+    return -1.0 + (np.arange(N) + 0.5) * (2.0 / N)
 
 
 def _normalize(vec: np.ndarray, dt: float) -> np.ndarray:
@@ -363,7 +369,8 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     coarse vector and must stay within half the neighbouring coarse gaps
     of its coarse eigenvalue. Otherwise LinAlgError names the first mode
     the coarse grid does not resolve, say i: count <= i, or a larger N,
-    works; other failures of the refinement pass unchanged. N must be
+    works. Other failures of the refinement keep their text and add the
+    mode, and that count <= i works. N must be
     even and at least 512 so the coarse grid stays valid, and count at
     most N/8.
     """
@@ -391,6 +398,9 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
                 f"{exc}: the coarse grid does not resolve mode {i}; "
                 f"count <= {i} or a larger N works"
             ) from exc
+        except LinAlgError as exc:
+            works = f"; count <= {i} works" if i else ""
+            raise LinAlgError(f"{exc} at mode {i}{works}") from exc
         a = _normalize(a, fine.step)
         if np.dot(a, b) < 0:
             b = -b
@@ -406,73 +416,80 @@ def profile_hash(profile: ProfileFunction) -> str:
     return hashlib.sha256(profile.canonical_text().encode()).hexdigest()[:12]
 
 
-# stored in every slot and raised whenever the solver's output changes; a slot
-# holding another value (or none) was written by another solver and is a miss
-_SLOT_VERSION = 3
+# stored in every slot header and raised whenever the solver's output or the
+# slot layout changes; a slot holding another value was written by another
+# solver and is a miss
+_SLOT_VERSION = 4
 
 
 def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str:
-    return os.path.join(cache_dir, f"{profile_hash(profile)}_k{k}_N{N}.npz")
+    return os.path.join(cache_dir, f"{profile_hash(profile)}_k{k}_N{N}.modes")
+
+
+def _slot_header(profile: ProfileFunction, k: int, N: int, count: int) -> bytes:
+    """The slot's JSON header line, space-padded so that its payload is 8-byte aligned."""
+    meta = dict(version=_SLOT_VERSION, profile=profile.canonical_text(), k=k, N=N, count=count)
+    line = json.dumps(meta, sort_keys=True).encode()
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n"
 
 
 def save_modes(modes, cache_dir: str) -> str:
-    """Persist a family of modes (same profile, k, grid) as one .npz slot file.
+    """Persist a family of modes (same profile, k, grid) as one .modes slot file.
 
-    The members are version (of the solver that wrote it), profile (its
-    canonical text), k, N, eigenvalues (count), grid (N) and radial
-    (count x N). The file is published by a single rename, and saving the
-    same modes twice gives the same bytes.
+    The file holds a JSON header line with sorted keys (version of the
+    solver that wrote it, profile as its canonical text, k, N and count),
+    then the count eigenvalues and the count x N radial values as
+    little-endian float64, then a CRC-32 of everything before it (4 bytes,
+    little-endian). The grid is not stored: it is a function of N. The
+    file is published by a single rename, and saving the same modes twice
+    gives the same bytes.
     """
     if not modes:
         raise ValueError("nothing to save")
     first = modes[0]
-    N = len(first.radial_grid)
+    count, N = len(modes), len(first.radial_grid)
+    header = _slot_header(first.profile, first.k, N, count)
+    data = bytearray(len(header) + 8 * count * (N + 1) + 4)
+    data[: len(header)] = header
+    payload = np.frombuffer(data, "<f8", count * (N + 1), len(header))
+    np.concatenate([[m.eigenvalue for m in modes], *(m.radial_values for m in modes)], out=payload)
+    data[-4:] = zlib.crc32(memoryview(data)[:-4]).to_bytes(4, "little")
     slot = _cache_slot(cache_dir, first.profile, first.k, N)
-    buf = io.BytesIO()
-    np.savez(
-        buf,
-        version=_SLOT_VERSION,
-        profile=first.profile.canonical_text(),
-        k=first.k,
-        N=N,
-        eigenvalues=[m.eigenvalue for m in modes],
-        grid=first.radial_grid,
-        radial=[m.radial_values for m in modes],
-    )
     os.makedirs(cache_dir, exist_ok=True)
-    _atomic_write(slot, buf.getvalue())
+    _atomic_write(slot, data)
     return slot
 
 
 def load_modes(profile: ProfileFunction, k: int, N: int, count: int, cache_dir: str):
     """Load cached modes, or None when the slot is absent, too small or corrupt.
 
-    A slot that is not a readable .npz (the zip CRC catches a flipped
-    data byte), lacks a member, was written by another solver version or
-    for another profile, k or N, holds fewer than `count` modes, or has
-    arrays whose shape disagrees with N reads as a miss, so the caller
-    solves again and rewrites it.
+    The slot is read in one pass. Its header line must be, byte for byte,
+    the one save_modes writes for this solver version, profile, k, N and
+    the count that the payload length implies, and that count must be at
+    least `count`; the CRC must match. Anything else (a flipped byte, a
+    truncated file, a header written for another request or by another
+    solver) reads as a miss, so the caller solves again and rewrites it.
+    The modes are writable views of the one buffer read, with the grid of
+    assemble_operator.
     """
     try:
-        with np.load(_cache_slot(cache_dir, profile, k, N)) as slot:
-            stored = tuple(slot[name].item() for name in ("version", "profile", "k", "N"))
-            lams, grid, radial = slot["eigenvalues"], slot["grid"], slot["radial"]
-    # damaged bytes raise many types here: zipfile's BadZipFile, EOFError and
-    # RuntimeError (an encryption flag), KeyError for a missing member, and
-    # ValueError or tokenize.TokenError from the .npy header parser; an
-    # unreadable slot is a miss whatever the type
-    except Exception:
+        with open(_cache_slot(cache_dir, profile, k, N), "rb", buffering=0) as fh:
+            raw = bytearray(os.fstat(fh.fileno()).st_size)
+            size = fh.readinto(raw)
+    except OSError:
         return None
-    valid = (
-        stored == (_SLOT_VERSION, profile.canonical_text(), k, N)
-        and {lams.dtype, grid.dtype, radial.dtype} == {np.dtype(float)}
-        and lams.ndim == 1
-        and len(lams) >= count
-        and grid.shape == (N,)
-        and radial.shape == (len(lams), N)
-    )
-    if not valid:
+    end = raw.find(b"\n") + 1
+    stored, rest = divmod(size - end - 4, 8 * (N + 1))
+    if (
+        size != len(raw)
+        or rest
+        or stored < count
+        or raw[:end] != _slot_header(profile, k, N, stored)
+        or zlib.crc32(memoryview(raw)[:-4]) != int.from_bytes(raw[-4:], "little")
+    ):
         return None
+    payload = np.frombuffer(raw, "<f8", stored * (N + 1), end)
+    lams, radial, grid = payload[:stored], payload[stored:].reshape(stored, N), _grid(N)
     return [_make_mode(profile, k, i, lams[i], grid, radial[i]) for i in range(count)]
 
 

@@ -1,7 +1,8 @@
 """Radial discretization, joint modes, and the disk cache."""
 
-import io
+import json
 import os
+import zlib
 
 import numpy as np
 import pytest
@@ -142,16 +143,40 @@ class TestSolveModes:
         assert "count <= 36 or a larger N works" in str(info.value)
 
     def test_other_refine_failures_pass_through(self, sphere, monkeypatch):
-        # only a window miss means the coarse grid does not resolve a mode
-        def fail_on_the_fine_grid(system, x, lo, hi):
+        # only a window miss means the coarse grid does not resolve a mode;
+        # other failures keep their text and gain the mode and a count that works
+        fine_calls = []
+
+        def fail_on_the_third_fine_pair(system, x, lo, hi):
             if system.size == 1024:
-                raise LinAlgError("did not converge")
+                fine_calls.append(lo)
+                if len(fine_calls) == 3:
+                    raise LinAlgError("did not converge")
             return _refine(system, x, lo, hi)
 
-        monkeypatch.setattr(eigensolve, "_refine", fail_on_the_fine_grid)
+        monkeypatch.setattr(eigensolve, "_refine", fail_on_the_third_fine_pair)
         with pytest.raises(LinAlgError) as info:
-            solve_modes(sphere, 2, 3, N=1024)
-        assert str(info.value) == "did not converge"
+            solve_modes(sphere, 2, 4, N=1024)
+        assert str(info.value) == "did not converge at mode 2; count <= 2 works"
+        # no count works when the first mode fails
+        fine_calls[:] = [None, None]
+        with pytest.raises(LinAlgError) as info:
+            solve_modes(sphere, 2, 1, N=1024)
+        assert str(info.value) == "did not converge at mode 0"
+
+    def test_fine_non_convergence_names_its_mode(self, sphere):
+        # at k = 0, N = 1024 the fine Rayleigh-quotient iteration of mode 75
+        # does not converge within its step cap; it is not a window miss
+        assert len(solve_modes(sphere, 0, 75, N=1024)) == 75
+        with pytest.raises(LinAlgError) as info:
+            solve_modes(sphere, 0, 76, N=1024)
+        message = str(info.value)
+        assert message.startswith(
+            f"Rayleigh-quotient iteration did not converge in {eigensolve._RQI_STEPS} steps "
+            "(k=0, N=1024) at mode 75;"
+        )
+        assert message.endswith("count <= 75 works")
+        assert "does not resolve" not in message
 
     def test_mode_metadata(self, sphere):
         modes = solve_modes(sphere, 2, 3, N=1024)
@@ -454,9 +479,7 @@ class TestModeCache:
             assert a.eigenvalue == b.eigenvalue
             assert np.array_equal(a.radial_values, b.radial_values)
 
-    def test_slot_is_one_npz_file_published_by_one_rename(
-        self, sphere, tmp_path, monkeypatch
-    ):
+    def test_slot_is_one_file_published_by_one_rename(self, sphere, tmp_path, monkeypatch):
         renames = []
 
         def replace(src, dst):
@@ -468,17 +491,24 @@ class TestModeCache:
         slot = save_modes(modes, str(tmp_path / "cache"))
         assert renames == [slot]
         assert [p.name for p in (tmp_path / "cache").iterdir()] == [os.path.basename(slot)]
-        assert slot.endswith("_k2_N1024.npz")
-        with np.load(slot) as data:
-            assert sorted(data.files) == [
-                "N", "eigenvalues", "grid", "k", "profile", "radial", "version"
-            ]
-            assert data["version"].item() == eigensolve._SLOT_VERSION
-            assert data["profile"].item() == sphere.canonical_text()
-            assert (data["k"].item(), data["N"].item()) == (2, 1024)
-            assert data["eigenvalues"].shape == (3,)
-            assert data["grid"].shape == (1024,)
-            assert data["radial"].shape == (3, 1024)
+        assert slot.endswith("_k2_N1024.modes")
+        with open(slot, "rb") as fh:
+            raw = fh.read()
+        # a header line with sorted keys, padded so the float64 payload is 8-byte aligned
+        end = raw.index(b"\n") + 1
+        assert end % 8 == 0
+        meta = json.loads(raw[:end])
+        assert raw[:end] == _header_line(meta)
+        assert meta == {
+            "N": 1024, "count": 3, "k": 2, "profile": sphere.canonical_text(),
+            "version": eigensolve._SLOT_VERSION,
+        }
+        # count eigenvalues, count x N radial values, then the CRC-32 of all before it
+        assert len(raw) == end + 8 * 3 * 1025 + 4
+        assert raw[-4:] == zlib.crc32(raw[:-4]).to_bytes(4, "little")
+        payload = np.frombuffer(raw[end:-4], "<f8")
+        assert payload[:3].tolist() == [m.eigenvalue for m in modes]
+        assert payload[3:].tobytes() == b"".join(m.radial_values.astype("<f8").tobytes() for m in modes)
 
     def test_saving_twice_gives_identical_bytes(self, sphere, tmp_path):
         modes = solve_modes(sphere, 1, 2, N=1024)
@@ -498,74 +528,156 @@ class TestModeCache:
         assert not hit
         assert sorted(p.name for p in old.iterdir()) == ["meta.json", "radial.csv"]
 
+    def test_npz_slot_of_the_same_key_is_neither_read_nor_touched(self, sphere, tmp_path):
+        # a well-formed slot in the layout of version 3, which stored the grid too
+        cache = tmp_path / "cache"
+        cache.mkdir()
+        modes = solve_modes(sphere, 1, 3, N=1024)
+        old = cache / f"{profile_hash(sphere)}_k1_N1024.npz"
+        np.savez(
+            old,
+            version=3,
+            profile=sphere.canonical_text(),
+            k=1,
+            N=1024,
+            eigenvalues=[m.eigenvalue for m in modes],
+            grid=modes[0].radial_grid,
+            radial=[m.radial_values for m in modes],
+        )
+        before = old.read_bytes()
+        assert load_modes(sphere, 1, 1024, 3, str(cache)) is None
+        _, hit = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=str(cache))
+        assert not hit
+        assert old.read_bytes() == before
+        assert sorted(p.name for p in cache.iterdir()) == sorted([old.name, old.stem + ".modes"])
 
-def _rewrite(**edits):
-    """Rewrite the slot with each named member replaced by edit(member), or dropped."""
+    def test_hit_arrays_are_writable(self, sphere, tmp_path):
+        cache = str(tmp_path / "cache")
+        solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
+        (slot,) = (tmp_path / "cache").iterdir()
+        clean = slot.read_bytes()
+        modes, hit = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
+        assert hit
+        for m in modes:
+            assert m.radial_values.flags.writeable and m.radial_grid.flags.writeable
+            m.radial_values[0] += 1.0
+            m.radial_grid[0] += 1.0
+        assert slot.read_bytes() == clean
+
+    def test_hit_grid_is_the_operator_grid(self, perturbed, tmp_path):
+        cache = str(tmp_path / "cache")
+        solve_modes_cached(perturbed, 3, 2, N=2048, cache_dir=cache)
+        modes, hit = solve_modes_cached(perturbed, 3, 2, N=2048, cache_dir=cache)
+        assert hit
+        grid = assemble_operator(perturbed, 3, 2048).grid
+        for m in modes:
+            assert m.radial_grid.dtype == grid.dtype
+            assert m.radial_grid.tobytes() == grid.tobytes()
+
+    def test_two_mode_slot_serves_two_modes(self, sphere, tmp_path):
+        # the slot that the meta-few-eigenvalues case below writes is valid
+        cache = str(tmp_path / "cache")
+        modes, _ = solve_modes_cached(sphere, 1, 3, N=1024, cache_dir=cache)
+        (slot,) = (tmp_path / "cache").iterdir()
+        slot.write_bytes(_CORRUPTIONS["meta-few-eigenvalues"](slot.read_bytes()))
+        loaded = load_modes(sphere, 1, 1024, 2, cache)
+        assert [m.eigenvalue for m in loaded] == [m.eigenvalue for m in modes[:2]]
+        for a, b in zip(modes, loaded):
+            assert a.radial_values.tobytes() == b.radial_values.tobytes()
+
+
+def _header_line(meta):
+    """A slot header line as save_modes writes one: sorted keys, space-padded to 8 bytes."""
+    line = json.dumps(meta, sort_keys=True).encode()
+    return line + b" " * (-(len(line) + 1) % 8) + b"\n"
+
+
+def _edit(header=None, payload=None):
+    """Rewrite the slot with its header or payload edited and the CRC re-stamped.
+
+    header(meta) gets the parsed header and returns a JSON value, written as
+    save_modes writes a header, or a raw header line as bytes.
+    payload(data) gets the payload bytes and returns new ones.
+    """
 
     def apply(raw):
-        with np.load(io.BytesIO(raw)) as slot:
-            members = dict(slot)
-        for name, edit in edits.items():
-            if edit is _DROP:
-                del members[name]
-            else:
-                members[name] = np.asarray(edit(members[name]))
-        buf = io.BytesIO()
-        np.savez(buf, **members)
-        return buf.getvalue()
+        end = raw.index(b"\n") + 1
+        line, data = raw[:end], raw[end:-4]
+        if header is not None:
+            line = header(json.loads(line))
+            if not isinstance(line, bytes):
+                line = _header_line(line)
+        if payload is not None:
+            data = payload(data)
+        body = line + data
+        return body + zlib.crc32(body).to_bytes(4, "little")
 
     return apply
 
 
-_DROP = object()
+def _without(key):
+    return _edit(header=lambda meta: {name: v for name, v in meta.items() if name != key})
 
 
-def _flip_radial_byte(raw):
-    with np.load(io.BytesIO(raw)) as slot:
-        data = slot["radial"].tobytes()
-    at = raw.index(data) + len(data) // 2
-    return raw[:at] + bytes([raw[at] ^ 0x10]) + raw[at + 1 :]
+def _set(**fields):
+    return _edit(header=lambda meta: {**meta, **fields})
 
 
-def _central_header(offset, value):
-    """Set one byte of the zip's first central directory header."""
+def _flip(at):
+    """Flip the byte at offset at(raw), leaving the CRC as it was."""
 
     def apply(raw):
-        at = raw.index(b"PK\x01\x02") + offset
-        return raw[:at] + bytes([value]) + raw[at + 1 :]
+        i = at(raw)
+        return raw[:i] + bytes([raw[i] ^ 0x10]) + raw[i + 1 :]
 
     return apply
+
+
+def _rows(edit):
+    """Edit each radial row of the slot written for count = 3, N = 1024; keep the header."""
+
+    def payload(data):
+        rows = (data[24 + 8192 * i : 24 + 8192 * (i + 1)] for i in range(3))
+        return data[:24] + b"".join(edit(row) for row in rows)
+
+    return _edit(payload=payload)
 
 
 # Each case damages the slot written for (sphere, k=1, N=1024, count=3).
-# The meta-* and csv-* ids name the damage to the two-file slot (meta.json
-# and radial.csv) that each case replaces: the metadata members, and the
-# grid and radial arrays.
+# The ids name the damage to earlier layouts that each case restates: the
+# meta-* and csv-* ids the two-file slot (meta.json and radial.csv), the
+# others the .npz slot. Cases that edit the header or payload re-stamp the
+# CRC, so only the edit itself can make them a miss.
 _CORRUPTIONS = {
-    "meta-missing-key": _rewrite(eigenvalues=_DROP),
-    "meta-not-an-object": _rewrite(profile=lambda text: [1, 2]),
-    "meta-few-eigenvalues": _rewrite(eigenvalues=lambda a: a[:2], radial=lambda a: a[:2]),
-    "csv-unparsable": _flip_radial_byte,
-    "csv-one-row": _rewrite(grid=lambda a: a[:1], radial=lambda a: a[:, :1]),
-    "csv-one-column": _rewrite(radial=_DROP),
-    "csv-short-rows": _rewrite(grid=lambda a: a[:-1], radial=lambda a: a[:, :-1]),
+    "meta-missing-key": _without("count"),
+    "meta-not-an-object": _edit(header=lambda meta: sorted(meta.items())),
+    # a valid slot holding two modes, a miss for count = 3
+    "meta-few-eigenvalues": _edit(
+        header=lambda meta: {**meta, "count": 2},
+        payload=lambda data: data[:16] + data[24 : 24 + 2 * 8192],
+    ),
+    "csv-unparsable": _flip(lambda raw: len(raw) // 2),
+    "csv-one-row": _rows(lambda row: row[:8]),
+    "csv-one-column": _without("N"),
+    "csv-short-rows": _rows(lambda row: row[:-8]),
     "empty-file": lambda raw: b"",
     "not-a-zip": lambda raw: b"t,mode_0\n0.5,garbage\n",
     "truncated": lambda raw: raw[: len(raw) // 2],
-    "k-differs": _rewrite(k=lambda k: k + 1),
-    "N-differs": _rewrite(N=lambda N: 2 * N),
-    "profile-differs": _rewrite(profile=lambda text: str(text).replace("sphere", "polynomial-perturbed")),
-    "grid-short": _rewrite(grid=lambda a: a[:-1]),
-    "radial-transposed": _rewrite(radial=lambda a: a.T),
-    "eigenvalues-as-text": _rewrite(eigenvalues=lambda a: a.astype(str)),
-    # zipfile raises RuntimeError and NotImplementedError for these two,
-    # and the .npy header parser tokenize.TokenError for the third
-    "encryption-flag": _central_header(8, 1),
-    "unknown-compression": _central_header(10, 99),
-    "npy-header": lambda raw: raw.replace(b"'shape': (1024,)", b"'shape': )1024,)", 1),
-    # the six-member layout of slots written before the version member
-    "version-missing": _rewrite(version=_DROP),
-    "version-differs": _rewrite(version=lambda v: v - 1),
+    "k-differs": _set(k=2),
+    "N-differs": _set(N=2048),
+    "profile-differs": _edit(
+        header=lambda meta: {**meta, "profile": meta["profile"].replace("sphere", "polynomial-perturbed")}
+    ),
+    "grid-short": _edit(payload=lambda data: data[:-8]),
+    # a transposed payload has the same length in this layout; one value too many does not
+    "radial-transposed": _edit(payload=lambda data: data + data[-8:]),
+    "eigenvalues-as-text": _set(count="3"),
+    "count-as-float": _set(count=3.0),
+    "encryption-flag": _flip(lambda raw: len(raw) - 1),
+    "unknown-compression": _edit(header=lambda meta: _header_line(meta)[:-1] + b" "),
+    "npy-header": _edit(header=lambda meta: b"\xff" + _header_line(meta)[1:]),
+    "version-missing": _without("version"),
+    "version-differs": _set(version=3),
 }
 
 
