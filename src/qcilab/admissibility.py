@@ -24,11 +24,23 @@ root-found along the same rays. Fixed sigma therefore means the same
 phase point whichever way the symbol was given.
 
 User-supplied radii are root-found a block of rows at a time, every ray
-of the block in the same numpy calls: Newton steps seeded from the fiber
-one row up, and where Newton misses, a geometric scan followed by
-bisection, or by a local refinement when the level set only touches the
-ray. The block solve gives the radii of the plain row-by-row walk bit for
-bit, so the block size bounds memory and never changes a report.
+of the block in the same numpy calls, with the base point as one column
+entry a row, so that f(t) is evaluated once a row. Newton steps are
+seeded from the fiber before the block. Where Newton misses, a geometric
+scan brackets the level set and Newton runs inside the bracket, with
+bisection where it leaves it, or a local refinement when the level set
+only touches the ray. Each radius then moves to its ray's canonical
+float, the one of least |p1 - E1| within two floats either side
+(_canonical). Near a simple root every landing comes to rest there, so
+the radius depends on the ray alone, not on the seed: one pass per block
+gives the radii of the plain row-by-row walk, and the block size bounds
+memory and never changes a report. A radius that is not certified
+canonical, as at a multiple root, keeps that walk: it is solved again
+from the row above.
+
+The verdict is reduced a block at a time (_Band), so no array spans the
+whole arc: the band's edge, the least rate and its witness are kept as
+the blocks pass.
 """
 
 from __future__ import annotations
@@ -56,7 +68,11 @@ _SCAN_RADII = np.geomspace(1e-8, 1e3, 221)
 # |grad_xi p1| must exceed this for real principal type
 _PRINCIPAL_TOL = 1e-6
 # fiber points per block of the walk along the arc
-_BLOCK = 1 << 14
+_BLOCK = 1 << 15
+# a canonical radius has the least |p1 - E1| within _ULPS floats either
+# side; a radius not there after _MOVES moves is not certified
+_ULPS = 2
+_MOVES = 4
 _XI = ("xi_t", "xi_phi")
 
 
@@ -114,20 +130,31 @@ class AdmissibilityReport:
 
 
 class _Rays:
-    """Rays r -> (r c, r s) over base points (t, phi), flat, one entry each."""
+    """Rays r -> (r c, r s) over base points (t, phi).
+
+    c and s hold one entry a ray. t and phi broadcast against them: flat,
+    one entry a ray, or one column entry per row of a block of fibers, so
+    that a symbol evaluates f(t) once a row. Indexing selects along the
+    first axis; flat(idx) picks rays by flat index, one entry each.
+    """
 
     def __init__(self, map_: MomentMap, E1: float, t, phi, c, s):
         self.map_, self.E1 = map_, E1
         self.t, self.phi, self.c, self.s = t, phi, c, s
 
     def __len__(self):
-        return len(self.c)
+        return len(self.s)
 
     def __getitem__(self, idx) -> "_Rays":
         return _Rays(self.map_, self.E1, self.t[idx], self.phi[idx], self.c[idx], self.s[idx])
 
+    def flat(self, idx) -> "_Rays":
+        at = np.unravel_index(idx, self.s.shape)
+        t, phi, c, s = (np.broadcast_to(a, self.s.shape)[at] for a in (self.t, self.phi, self.c, self.s))
+        return _Rays(self.map_, self.E1, t, phi, c, s)
+
     def residual(self, r):
-        """p1 - E1 at radii r, whose last axis runs over the rays.
+        """p1 - E1 at radii r, whose trailing axes run over the rays.
 
         Read-only when p1 does not depend on xi: it is broadcast to r.
         """
@@ -135,21 +162,27 @@ class _Rays:
         return np.broadcast_to(self.map_.p1(self.t, self.phi, xi_t, xi_phi) - self.E1, xi_t.shape)
 
 
+def _any_ray(mask):
+    """Per entry of the first axis (a ray, or a row of rays), whether any ray is set."""
+    return mask.any(axis=tuple(range(1, mask.ndim)))
+
+
 def _newton(rays: _Rays, seed):
-    """Radii after 12 Newton steps from seed, NaN unless |p1 - E1| <= _FIBER_TOL.
+    """Radii after up to 12 Newton steps from seed, NaN unless |p1 - E1| <= _FIBER_TOL.
 
     Slopes are exact; a zero slope leaves a ray where it stands. Rays
-    with no usable seed (NaN or <= 0) come back NaN. A ray whose step
-    lands where it stands, or where it stood one step before, would
-    repeat itself to the 12th step, so it leaves the iteration with the
-    radius and residual of that step.
+    with no usable seed (NaN or <= 0) come back NaN. A ray whose step is
+    at most _ULPS floats has landed: it leaves with the radius and
+    residual it stepped from. Rows of a block are stepped while any of
+    their rays is; a ray that has left stays where it stood, so every ray
+    takes the steps it would take alone.
     """
     r = np.where(np.isfinite(seed) & (seed > 0), seed, np.nan)
-    resid = np.full(len(r), np.nan)
-    live = np.flatnonzero(np.isfinite(r))
-    sub, here = rays[live], r[live]
-    back, g_back = here, resid[live]
-    for k in range(12):
+    resid = np.full(r.shape, np.nan)
+    on = np.isfinite(r)
+    live = np.flatnonzero(_any_ray(on))
+    sub, here, on = rays[live], r[live], on[live]
+    for _ in range(12):
         if not live.size:
             break
         g = sub.residual(here)
@@ -157,29 +190,79 @@ def _newton(rays: _Rays, seed):
         with np.errstate(divide="ignore", invalid="ignore"):
             dr = g / (sub.c * d_t + sub.s * d_p)
         there = np.maximum(here - np.where(np.isfinite(dr), dr, 0.0), 1e-12)
-        fixed = there == here
-        # in a 2-cycle the 12th step lands on `here` if 12 - k is even
-        cycle = ~fixed & (there == back)
-        to_back = cycle & (k % 2 == 1)
-        done = fixed | cycle
-        r[live[done]] = np.where(to_back, back, here)[done]
-        resid[live[done]] = np.where(to_back, g_back, g)[done]
-        go = ~done
-        live, sub = live[go], sub[go]
-        back, g_back, here = here[go], g[go], there[go]
+        done = on & (np.abs(there - here) <= _ULPS * np.spacing(here))
+        r[live] = np.where(done, here, r[live])
+        resid[live] = np.where(done, g, resid[live])
+        on &= ~done
+        go = _any_ray(on)
+        live, sub, on = live[go], sub[go], on[go]
+        here = np.where(on, there[go], here[go])
     if live.size:
-        r[live] = here
-        resid[live] = sub.residual(here)
+        r[live] = np.where(on, here, r[live])
+        resid[live] = np.where(on, sub.residual(here), resid[live])
     return np.where(np.abs(resid) <= _FIBER_TOL, r, np.nan)
 
 
+def _least(rays: _Rays, r):
+    """Where |p1 - E1| is least within _ULPS floats either side of r.
+
+    Returns (offset, float, crossed, level): the offset counts floats
+    from r, negative toward 0, ties going to the smaller float; crossed
+    is True where p1 - E1 takes both signs, or 0, in the window, and
+    level where it takes one value throughout.
+    """
+    lo, hi = [r], [r]
+    for _ in range(_ULPS):
+        lo.append(np.nextafter(lo[-1], -np.inf))
+        hi.append(np.nextafter(hi[-1], np.inf))
+    window = lo[:0:-1] + hi
+    g = rays.residual(np.stack(window))
+    size = np.abs(g)
+    # the first least size along the window, float by float; NaN is never
+    # less, so only a NaN at the start needs replacing
+    least, step, best = np.where(np.isnan(size[0]), np.inf, size[0]), 0, window[0]
+    for k in range(1, len(window)):
+        better = size[k] < least
+        least = np.where(better, size[k], least)
+        step = np.where(better, k, step)
+        best = np.where(better, window[k], best)
+    low, high = g.min(axis=0), g.max(axis=0)
+    return step - _ULPS, best, (low <= 0.0) & (high >= 0.0), low == high
+
+
+def _canonical(rays: _Rays, radii):
+    """(radii, certified): each radius moved to its ray's canonical float.
+
+    A radius moves to the float of least |p1 - E1| within _ULPS floats
+    either side (_least), up to _MOVES times, until it is that float
+    itself. It is certified when it comes to rest on a float whose window
+    holds a sign change of p1 - E1: a simple root, where every landing of
+    Newton comes to rest on the same float, so the radius depends on the
+    ray alone and not on the seed. A radius that does not come to rest,
+    or rests without a sign change (a multiple root, which Newton nears
+    only linearly), is not certified and comes back as given; so is one
+    whose window is level, where ties would move it on without end. NaN
+    radii come back NaN, certified.
+    """
+    step, out, crossed, level = _least(rays, radii)
+    ok = np.isnan(radii) | ((step == 0) & crossed)
+    todo = np.flatnonzero((step != 0) & ~ok & ~level)
+    for _ in range(_MOVES - 1):
+        if not todo.size:
+            break
+        step, out.flat[todo], crossed, level = _least(rays.flat(todo), out.flat[todo])
+        ok.flat[todo[(step == 0) & crossed]] = True
+        todo = todo[(step != 0) & ~level]
+    return np.where(ok, out, radii), ok
+
+
 def _solve(rays: _Rays, seed):
-    """Newton from seed; rays it leaves NaN go to the radial scan."""
+    """(radii, certified): Newton from seed, the scan where it misses, then _canonical."""
     radii = _newton(rays, seed)
     miss = np.flatnonzero(np.isnan(radii))
     if miss.size:
-        radii[miss] = _scan(rays[miss])
-    return radii
+        radii.flat[miss] = _scan(rays.flat(miss))
+    return _canonical(rays, radii)
 
 
 def _chunks(n_rays: int, n_samples: int):
@@ -191,10 +274,12 @@ def _chunks(n_rays: int, n_samples: int):
 def _scan(rays: _Rays):
     """Radii of the level set along each ray, found from the geometric scan.
 
-    A ray whose residual changes sign between two scan radii is bisected
-    on the first such bracket. A ray with no sign change is refined
-    around its smallest finite residual (a tangential touch). Rays that
-    never reach the level set come back NaN.
+    A ray whose residual changes sign between two scan radii takes Newton
+    from the middle of the first such bracket; where Newton misses or
+    leaves the bracket, the bracket is bisected. A ray with no sign change
+    is refined around its smallest finite residual (a tangential touch).
+    Bisected and refined radii meet the tolerance only, so Newton polishes
+    them where it can. Rays that never reach the level set come back NaN.
     """
     bracket = np.full(len(rays), -1)  # first sign change, -1 for none
     nearest = np.full(len(rays), -1)  # smallest finite |residual|, -1 for none
@@ -208,12 +293,20 @@ def _scan(rays: _Rays):
         nearest[cols] = np.where(finite.any(axis=0), near, -1)
     radii = np.full(len(rays), np.nan)
     crossed = np.flatnonzero(bracket >= 0)
-    if crossed.size:
-        k = bracket[crossed]
-        radii[crossed] = _bisect(rays[crossed], _SCAN_RADII[k], _SCAN_RADII[k + 1])
+    lo, hi = _SCAN_RADII[bracket[crossed]], _SCAN_RADII[bracket[crossed] + 1]
+    radii[crossed] = _newton(rays[crossed], 0.5 * (lo + hi))
+    # a root on a scan radius may land a few floats past the bracket
+    out = ~((radii[crossed] >= lo * (1.0 - 1e-12)) & (radii[crossed] <= hi * (1.0 + 1e-12)))
+    rough = crossed[out]
+    if rough.size:
+        radii[rough] = _bisect(rays[rough], lo[out], hi[out])
     touch = np.flatnonzero((bracket < 0) & (nearest >= 0))
     for cols in _chunks(len(touch), 101):
         radii[touch[cols]] = _tangent(rays[touch[cols]], nearest[touch[cols]])
+    rough = np.concatenate([rough, touch])
+    if rough.size:
+        polished = _newton(rays[rough], radii[rough])
+        radii[rough] = np.where(np.isnan(polished), radii[rough], polished)
     return radii
 
 
@@ -270,36 +363,28 @@ def _tangent(rays: _Rays, nearest):
     return np.where(np.abs(rays.residual(r)) <= _FIBER_TOL, r, np.nan)
 
 
-def _walk(rays: _Rays, prev, n: int):
-    """Radii of consecutive fibers of n rays, each seeded from the one before.
+def _walk(rays: _Rays, prev):
+    """Radii of a block of consecutive fibers, one row of rays each.
 
-    The result is the row-by-row walk exactly: every ray is solved by
-    _solve seeded from the same ray one fiber up, from prev for the first
-    fiber; with prev None the first fiber comes from the scan alone. All
-    fibers are first solved at once by Newton from prev. Then every ray
-    whose value is not _solve of its final ray above (Newton missed, or
-    its seed differs) is solved again from that ray, all of them at once,
-    round after round until no radius moves.
+    prev holds the radii of the fiber before the block; None starts an
+    arc, whose first fiber comes from the scan alone. The other rows are
+    solved in one pass, by _solve seeded from prev. A certified radius
+    depends on its ray alone, so it is the radius of the plain row-by-row
+    walk, each row seeded from the one before. The rest keep that walk:
+    row after row, they are solved again from their radii one row up.
     """
-    first = prev is None
-    if first:
-        prev = _solve(rays[:n], np.full(n, np.nan))
-        rays = rays[n:]
-    seed = np.tile(prev, len(rays) // n)
-    walk = np.concatenate([prev, _newton(rays, seed)])
-    # walk[k] sits below walk[k - n]
-    todo = n + np.flatnonzero(np.isnan(walk[n:]) | ~_same(walk[:-n], seed))
-    while todo.size:
-        old = walk[todo]
-        walk[todo] = _solve(rays[todo - n], walk[todo - n])
-        todo = todo[~_same(walk[todo], old)] + n
-        todo = todo[todo < len(walk)]
-    return walk if first else walk[n:]
-
-
-def _same(a, b):
-    """Elementwise a == b, with NaN equal to NaN."""
-    return (a == b) | (np.isnan(a) & np.isnan(b))
+    if prev is None:
+        head, _ = _solve(rays[:1], np.full(rays.s[:1].shape, np.nan))
+        return np.concatenate([head, _walk(rays[1:], head[0])]) if len(rays) > 1 else head
+    radii, ok = _solve(rays, np.broadcast_to(prev, rays.s.shape))
+    n = rays.s.shape[1]
+    for i in np.flatnonzero(~ok[1:].all(axis=1)) + 1:
+        # a ray whose radius one row up is its seed prev already has the
+        # radius the walk gives it
+        j = np.flatnonzero(~ok[i] & (radii[i - 1] != prev))
+        if j.size:
+            radii[i, j], _ = _solve(rays.flat(i * n + j), radii[i - 1, j])
+    return radii
 
 
 def _angles(n: int):
@@ -313,11 +398,11 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
     NaN entries mark rays that miss the level set (possible only for DSL
     maps). The built-in p1 has the closed-form radius sqrt(E1).
 
-    DSL rows are solved together, as one batch of rays, and walked
-    (_walk): each row seeded from the row before, the first from prev, the
-    last fiber of the previous block; the first row of an arc (prev None)
-    comes from the scan, as do rays Newton cannot place. A row whose rays
-    all miss raises FiberError, so every row holds a finite point.
+    DSL rows are solved together, as one block of rays (_walk), seeded
+    from prev, the last fiber of the previous block; the first row of an
+    arc (prev None) comes from the scan, as do rays Newton cannot place.
+    A row whose rays all miss raises FiberError, so every row holds a
+    finite point.
     """
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
@@ -327,10 +412,8 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
             raise FiberError(f"empty fiber: p1 >= 0 everywhere but E1 = {E1}")
         radii = np.full(shape, np.sqrt(E1))
     else:
-        n = len(sigmas)
-        t, phi = np.repeat(ts, n), np.repeat(phis, n)
-        rays = _Rays(map_, E1, t, phi, np.tile(cs, len(ts)), (f * sn).ravel())
-        radii = _walk(rays, prev, n).reshape(shape)
+        rays = _Rays(map_, E1, ts[:, None], phis[:, None], np.broadcast_to(cs, shape), f * sn)
+        radii = _walk(rays, prev)
         if not np.isfinite(radii).any(axis=1).all():
             raise FiberError(
                 f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
@@ -405,6 +488,140 @@ def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, sigmas)
 
 # -- the admissibility verdict -------------------------------------------------
 
+# the columns of _Band's held points
+_D, _RATE, _FLAT, _P2, _DERIV, _XT, _XP = range(7)
+
+
+class _Band:
+    """The least |d p2/d tau| over the band |p2 - E2| < epsilon, a block at a time.
+
+    Blocks come in row-major order, each with the flat index of its first
+    point and the points' p2, rate and covector. The winner is the point
+    of least (|rate|, flat index): the argmin of one row-major scan over
+    the band.
+
+    With epsilon given, a block's band is known at once. By default
+    epsilon is 5% of the p2 range, known only at the end; the range so
+    far gives a lower bound eps_lo that only grows. Points below it are
+    surely in the band and feed `best`. Points at or above it that beat
+    `best` are held, and of those only the ones that no held point beats
+    at a smaller or equal |p2 - E2| (_frontier): once the band's edge
+    passes a point it passes every point nearer E2, so a point beaten by
+    a nearer one never wins. Held points, one column each (rows _D ...
+    _XP), are sorted by |p2 - E2|, with |rate| never rising.
+    """
+
+    def __init__(self, E2: float, epsilon: Optional[float]):
+        self.E2, self.epsilon = E2, epsilon
+        self.lo, self.hi = np.inf, -np.inf
+        self.best = None  # one held-point column
+        self.held = np.empty((7, 0))
+
+    def eps(self) -> float:
+        """epsilon, or its lower bound eps_lo while blocks still come."""
+        if self.epsilon is not None:
+            return float(self.epsilon)
+        return 0.05 * float(self.hi - self.lo)
+
+    def add(self, start: int, p2, rate, xi_t, xi_phi):
+        # fmin and fmax skip NaN, as nanmin and nanmax do
+        self.lo = min(self.lo, np.fmin.reduce(p2, axis=None))
+        self.hi = max(self.hi, np.fmax.reduce(p2, axis=None))
+        eps = self.eps()
+        d, a = np.abs(p2 - self.E2).ravel(), np.abs(rate).ravel()
+        # NaN p2 (a ray that missed) is never below eps; a non-finite rate
+        # is outside the band too
+        inside = np.where(d < eps, a, np.inf)
+        i = int(np.argmin(inside))
+        if np.isnan(inside[i]):
+            inside[np.isnan(inside)] = np.inf
+            i = int(np.argmin(inside))
+        if inside[i] < np.inf:
+            self._offer(self._points(start, [i], d, a, p2, rate, xi_t, xi_phi))
+        if self.epsilon is None:
+            outside = d >= eps
+            if self.best is None:
+                maybe = outside & np.isfinite(a)
+            else:
+                # a tie in |rate| beats best only ahead of it
+                least, cut = self.best[_RATE, 0], max(int(self.best[_FLAT, 0]) - start, 0)
+                maybe = outside & (a < least)
+                maybe[:cut] |= outside[:cut] & (a[:cut] == least)
+            i = np.flatnonzero(maybe)
+            d_i, a_i = d[i], a[i]
+            if i.size and self.held.shape[1]:
+                # the held point nearest E2 but no nearer than a new point
+                # has the least |rate| of those and comes earlier: the new
+                # point must beat it
+                near = np.searchsorted(self.held[_D], d_i, side="right") - 1
+                keep = (near < 0) | (a_i < self.held[_RATE, np.maximum(near, 0)])
+                i, d_i, a_i = i[keep], d_i[keep], a_i[keep]
+            if i.size:
+                i = i[_frontier(d_i, a_i, start + i)]
+                new = self._points(start, i, d, a, p2, rate, xi_t, xi_phi)
+                pts = np.concatenate([self.held, new], axis=1)
+                self.held = pts[:, _frontier(pts[_D], pts[_RATE], pts[_FLAT])]
+            self._settle(eps)
+
+    @staticmethod
+    def _points(start, i, d, a, p2, rate, xi_t, xi_phi):
+        """Held-point columns of the block's points at flat offsets i."""
+        return np.stack([d[i], a[i], np.add(start, i, dtype=float)]
+                        + [np.ravel(x)[i] for x in (p2, rate, xi_t, xi_phi)])
+
+    def _beating(self, pts):
+        """The columns of pts whose (|rate|, flat) is less than best's."""
+        if self.best is None:
+            return pts
+        a, i = self.best[_RATE, 0], self.best[_FLAT, 0]
+        return pts[:, (pts[_RATE] < a) | ((pts[_RATE] == a) & (pts[_FLAT] < i))]
+
+    def _offer(self, pts):
+        """Make the least of pts best, if it beats best."""
+        pts = self._beating(pts)
+        if pts.shape[1]:
+            tie = np.flatnonzero(pts[_RATE] == pts[_RATE].min())
+            self.best = pts[:, [tie[np.argmin(pts[_FLAT, tie])]]]
+
+    def _settle(self, eps: float):
+        """Move held points below eps into the running best, then prune."""
+        inside = self.held[_D] < eps
+        if inside.any():
+            self._offer(self.held[:, inside])
+            self.held = self._beating(self.held[:, ~inside])
+
+    def finish(self):
+        """(epsilon, max |p2|, the winning column or None)."""
+        eps = self.eps()
+        top = max(abs(self.lo), abs(self.hi))
+        if eps <= 0.0:
+            eps = 0.05 * max(top, 1.0)
+        self._settle(eps)
+        return eps, float(top), self.best
+
+
+def _frontier(d, a, flat):
+    """Indices of the points that no point at a smaller or equal d beats.
+
+    Of points (d, a, flat) = (|p2 - E2|, |rate|, flat index), one at a
+    smaller or equal d beats another when its (a, flat) is less. The
+    indices are sorted by d, with a never rising; of points at equal d
+    a few beaten ones may stay.
+    """
+    order = np.argsort(d)
+    a = a[order]
+    keep = a <= np.minimum.accumulate(np.concatenate([[np.inf], a[:-1]]))
+    order, a = order[keep], a[keep]
+    step = a[1:] != a[:-1]
+    if step.all():
+        return order
+    # equal a now sit side by side; of those, the least flat index wins
+    flat = np.asarray(flat)[order].astype(np.int64)
+    run = np.concatenate([[0], np.cumsum(step)])
+    key = flat - run * (int(flat.max()) + 1)
+    ahead = np.minimum.accumulate(np.concatenate([[np.iinfo(np.int64).max], key[:-1]]))
+    return order[key < ahead]
+
 
 def check_admissible(
     map_: MomentMap,
@@ -450,42 +667,33 @@ def check_admissible(
     sigmas = _angles(n_fiber)
     E1 = energies.E1
 
-    # one walk along the arc; base points and covectors are kept for the witness
+    # one walk along the arc; the band keeps only its best point and the
+    # points that may still beat it
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
-    xt, xp = np.empty((n_tau, n_fiber)), np.empty((n_tau, n_fiber))
-    p2_mid, deriv = np.empty((n_tau, n_fiber)), np.empty((n_tau, n_fiber))
+    band = _Band(energies.E2, energies.epsilon)
     principal_ok = True
     for rows, t, phi, xi_t, xi_phi, radii in _arc_fibers(map_, geod, E1, taus, sigmas):
-        deriv[rows], ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, sigmas)
+        deriv, ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, sigmas)
         principal_ok = principal_ok and ok
-        p2_mid[rows] = map_.p2(t[:, None], phi[:, None], xi_t, xi_phi)
-        t_m[rows], phi_m[rows], xt[rows], xp[rows] = t, phi, xi_t, xi_phi
+        p2 = np.broadcast_to(map_.p2(t[:, None], phi[:, None], xi_t, xi_phi), xi_t.shape)
+        band.add(rows.start * n_fiber, p2, deriv, xi_t, xi_phi)
+        t_m[rows], phi_m[rows] = t, phi
 
-    scale = float(np.nanmax(np.abs(p2_mid)))
-    if energies.epsilon is not None:
-        eps = float(energies.epsilon)
-    else:
-        eps = 0.05 * float(np.nanmax(p2_mid) - np.nanmin(p2_mid))
-        if eps <= 0.0:
-            eps = 0.05 * max(scale, 1.0)
+    eps, scale, best = band.finish()
     thr = float(threshold) if threshold is not None else 1e-3 * (scale if scale > 0.0 else 1.0)
-
-    # NaN p2 (a ray that missed) and NaN derivatives fall outside the band
-    band = (np.abs(p2_mid - energies.E2) < eps) & np.isfinite(deriv)
     verdict, min_der, witness = "empty-band", None, None
-    if band.any():
-        absd = np.where(band, np.abs(deriv), np.inf)
-        i, j = np.unravel_index(int(np.argmin(absd)), absd.shape)
-        min_der = float(absd[i, j])
+    if best is not None:
+        i, j = divmod(int(best[_FLAT, 0]), n_fiber)
+        min_der = float(best[_RATE, 0])
         witness = {
             "tau": float(taus[i]),
             "sigma": float(sigmas[j]),
             "t": float(t_m[i]),
             "phi": float(phi_m[i]),
-            "xi_t": float(xt[i, j]),
-            "xi_phi": float(xp[i, j]),
-            "p2": float(p2_mid[i, j]),
-            "derivative": float(deriv[i, j]),
+            "xi_t": float(best[_XT, 0]),
+            "xi_phi": float(best[_XP, 0]),
+            "p2": float(best[_P2, 0]),
+            "derivative": float(best[_DERIV, 0]),
         }
         verdict = "admissible" if (min_der > thr and principal_ok) else "not-admissible"
     return AdmissibilityReport(
