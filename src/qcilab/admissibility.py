@@ -23,20 +23,20 @@ r = sqrt(E1), so the fiber is an ellipse; for user-supplied symbols r is
 root-found along the same rays. Fixed sigma therefore means the same
 phase point whichever way the symbol was given.
 
-User-supplied radii are root-found a block of rows at a time, every ray
-of the block in the same numpy calls, with the base point as one column
-entry a row, so that f(t) is evaluated once a row. Newton steps are
-seeded from the fiber before the block. Where Newton misses, a geometric
-scan brackets the level set and Newton runs inside the bracket, with
-bisection where it leaves it, or a local refinement when the level set
-only touches the ray. Each radius then moves to its ray's canonical
-float, the one of least |p1 - E1| within two floats either side
-(_canonical). Near a simple root every landing comes to rest there, so
-the radius depends on the ray alone, not on the seed: one pass per block
-gives the radii of the plain row-by-row walk, and the block size bounds
-memory and never changes a report. A radius that is not certified
-canonical, as at a multiple root, keeps that walk: it is solved again
-from the row above.
+User-supplied radii follow the plain row-by-row walk: each ray is solved
+by Newton seeded from the same ray one fiber up. Where Newton misses, a
+geometric scan brackets the level set and Newton runs inside the
+bracket, with bisection where it leaves it, or a local refinement when
+the level set only touches the ray. Each radius then moves to the float
+of least |p1 - E1| within two floats either side (_canonical), so that
+landings a few floats apart mostly give one radius. The walk is solved
+a block of rows at a time (_walk): one pass seeded from the fiber before
+the block, every ray of the block in the same numpy calls, with the base
+point as one column entry a row, so that f(t) is evaluated once a row;
+then rounds that solve again, from the row above, the few rays whose
+radius one row up is not a seed they were already solved from. The
+result is the walk's bit for bit, so the block size bounds memory and
+never changes a report.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: the band's edge, the least rate and its witness are kept as
@@ -168,17 +168,20 @@ def _any_ray(mask):
 
 
 def _newton(rays: _Rays, seed):
-    """Radii after up to 12 Newton steps from seed, NaN unless |p1 - E1| <= _FIBER_TOL.
+    """(radii, landed): up to 12 Newton steps from seed.
 
-    Slopes are exact; a zero slope leaves a ray where it stands. Rays
-    with no usable seed (NaN or <= 0) come back NaN. A ray whose step is
-    at most _ULPS floats has landed: it leaves with the radius and
-    residual it stepped from. Rows of a block are stepped while any of
-    their rays is; a ray that has left stays where it stood, so every ray
-    takes the steps it would take alone.
+    Radii are NaN unless |p1 - E1| <= _FIBER_TOL. Slopes are exact; a
+    zero slope leaves a ray where it stands. Rays with no usable seed (NaN
+    or <= 0) come back NaN. A ray whose step is at most _ULPS floats has
+    landed: it leaves with the radius and residual it stepped from, so
+    Newton seeded from a radius that landed lands there again at once.
+    Rows of a block are stepped while any of their rays is; a ray that has
+    left stays where it stood, so every ray takes the steps it would take
+    alone.
     """
     r = np.where(np.isfinite(seed) & (seed > 0), seed, np.nan)
     resid = np.full(r.shape, np.nan)
+    landed = np.zeros(r.shape, dtype=bool)
     on = np.isfinite(r)
     live = np.flatnonzero(_any_ray(on))
     sub, here, on = rays[live], r[live], on[live]
@@ -193,6 +196,7 @@ def _newton(rays: _Rays, seed):
         done = on & (np.abs(there - here) <= _ULPS * np.spacing(here))
         r[live] = np.where(done, here, r[live])
         resid[live] = np.where(done, g, resid[live])
+        landed[live] |= done
         on &= ~done
         go = _any_ray(on)
         live, sub, on = live[go], sub[go], on[go]
@@ -200,7 +204,8 @@ def _newton(rays: _Rays, seed):
     if live.size:
         r[live] = np.where(on, here, r[live])
         resid[live] = np.where(on, sub.residual(here), resid[live])
-    return np.where(np.abs(resid) <= _FIBER_TOL, r, np.nan)
+    ok = np.abs(resid) <= _FIBER_TOL
+    return np.where(ok, r, np.nan), ok & landed
 
 
 def _least(rays: _Rays, r):
@@ -231,18 +236,19 @@ def _least(rays: _Rays, r):
 
 
 def _canonical(rays: _Rays, radii):
-    """(radii, certified): each radius moved to its ray's canonical float.
+    """Each radius moved to the float of least |p1 - E1| near it.
 
     A radius moves to the float of least |p1 - E1| within _ULPS floats
     either side (_least), up to _MOVES times, until it is that float
-    itself. It is certified when it comes to rest on a float whose window
-    holds a sign change of p1 - E1: a simple root, where every landing of
-    Newton comes to rest on the same float, so the radius depends on the
-    ray alone and not on the seed. A radius that does not come to rest,
-    or rests without a sign change (a multiple root, which Newton nears
-    only linearly), is not certified and comes back as given; so is one
-    whose window is level, where ties would move it on without end. NaN
-    radii come back NaN, certified.
+    itself. The move is kept when the float it rests on has a sign change
+    of p1 - E1 in its window (it is certified). On the verdicts
+    benchmark's arcs, Newton landings from every seed tried came to rest
+    on one float, so the radius did not depend on the seed; that is
+    measured, not proved, and _walk does not rely on it. A radius that
+    does not come to rest, or rests without a sign change (a multiple
+    root, which Newton nears only linearly), comes back as given; so does
+    one whose window is level, where ties would move it on without end,
+    and a NaN. Either way a result given again comes back unchanged.
     """
     step, out, crossed, level = _least(rays, radii)
     ok = np.isnan(radii) | ((step == 0) & crossed)
@@ -253,16 +259,29 @@ def _canonical(rays: _Rays, radii):
         step, out.flat[todo], crossed, level = _least(rays.flat(todo), out.flat[todo])
         ok.flat[todo[(step == 0) & crossed]] = True
         todo = todo[(step != 0) & ~level]
-    return np.where(ok, out, radii), ok
+    return np.where(ok, out, radii)
 
 
-def _solve(rays: _Rays, seed):
-    """(radii, certified): Newton from seed, the scan where it misses, then _canonical."""
-    radii = _newton(rays, seed)
+def _solve(rays: _Rays, seed, known=None):
+    """(radii, landing): Newton from seed, the scan where it misses, then _canonical.
+
+    landing holds the float Newton landed on, NaN where it did not land
+    (_newton): _solve seeded from it gives the same radius. known, if
+    given, holds radii that _solve gave the same rays before. A ray that
+    lands on its known radius keeps it without a window search, since
+    _canonical leaves its own results where they are.
+    """
+    radii, landed = _newton(rays, seed)
+    landing = np.where(landed, radii, np.nan)
     miss = np.flatnonzero(np.isnan(radii))
     if miss.size:
         radii.flat[miss] = _scan(rays.flat(miss))
-    return _canonical(rays, radii)
+    if known is None:
+        return _canonical(rays, radii), landing
+    todo = np.flatnonzero(radii != known)
+    if todo.size:
+        radii.flat[todo] = _canonical(rays.flat(todo), radii.flat[todo])
+    return radii, landing
 
 
 def _chunks(n_rays: int, n_samples: int):
@@ -294,7 +313,7 @@ def _scan(rays: _Rays):
     radii = np.full(len(rays), np.nan)
     crossed = np.flatnonzero(bracket >= 0)
     lo, hi = _SCAN_RADII[bracket[crossed]], _SCAN_RADII[bracket[crossed] + 1]
-    radii[crossed] = _newton(rays[crossed], 0.5 * (lo + hi))
+    radii[crossed], _ = _newton(rays[crossed], 0.5 * (lo + hi))
     # a root on a scan radius may land a few floats past the bracket
     out = ~((radii[crossed] >= lo * (1.0 - 1e-12)) & (radii[crossed] <= hi * (1.0 + 1e-12)))
     rough = crossed[out]
@@ -305,7 +324,7 @@ def _scan(rays: _Rays):
         radii[touch[cols]] = _tangent(rays[touch[cols]], nearest[touch[cols]])
     rough = np.concatenate([rough, touch])
     if rough.size:
-        polished = _newton(rays[rough], radii[rough])
+        polished, _ = _newton(rays[rough], radii[rough])
         radii[rough] = np.where(np.isnan(polished), radii[rough], polished)
     return radii
 
@@ -366,25 +385,35 @@ def _tangent(rays: _Rays, nearest):
 def _walk(rays: _Rays, prev):
     """Radii of a block of consecutive fibers, one row of rays each.
 
-    prev holds the radii of the fiber before the block; None starts an
-    arc, whose first fiber comes from the scan alone. The other rows are
-    solved in one pass, by _solve seeded from prev. A certified radius
-    depends on its ray alone, so it is the radius of the plain row-by-row
-    walk, each row seeded from the one before. The rest keep that walk:
-    row after row, they are solved again from their radii one row up.
+    The result is the plain row-by-row walk exactly: every ray is solved
+    by _solve seeded from the same ray one fiber up, from prev for the
+    first fiber; with prev None the first fiber comes from the scan
+    alone. All fibers are first solved at once from prev. A ray whose
+    radius one fiber up is prev, or the float its Newton steps landed on,
+    already has its walk radius. Every other ray is solved again from the
+    ray above, and so is every ray whose radius above then moves, round
+    after round until no radius moves. Canonical radii mostly stay put,
+    so the rounds are few and small.
     """
     if prev is None:
         head, _ = _solve(rays[:1], np.full(rays.s[:1].shape, np.nan))
         return np.concatenate([head, _walk(rays[1:], head[0])]) if len(rays) > 1 else head
-    radii, ok = _solve(rays, np.broadcast_to(prev, rays.s.shape))
-    n = rays.s.shape[1]
-    for i in np.flatnonzero(~ok[1:].all(axis=1)) + 1:
-        # a ray whose radius one row up is its seed prev already has the
-        # radius the walk gives it
-        j = np.flatnonzero(~ok[i] & (radii[i - 1] != prev))
-        if j.size:
-            radii[i, j], _ = _solve(rays.flat(i * n + j), radii[i - 1, j])
+    radii, landing = _solve(rays, np.broadcast_to(prev, rays.s.shape))
+    n = radii.shape[1]
+    above = radii[:-1]
+    # radii.flat[k] sits below radii.flat[k - n]
+    todo = n + np.flatnonzero(~(_same(above, prev) | (above == landing[1:])))
+    while todo.size:
+        old = radii.flat[todo]
+        radii.flat[todo], _ = _solve(rays.flat(todo), radii.flat[todo - n], known=old)
+        todo = todo[~_same(radii.flat[todo], old)] + n
+        todo = todo[todo < radii.size]
     return radii
+
+
+def _same(a, b):
+    """Elementwise a == b, with NaN equal to NaN."""
+    return (a == b) | (np.isnan(a) & np.isnan(b))
 
 
 def _angles(n: int):
@@ -398,9 +427,9 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
     NaN entries mark rays that miss the level set (possible only for DSL
     maps). The built-in p1 has the closed-form radius sqrt(E1).
 
-    DSL rows are solved together, as one block of rays (_walk), seeded
-    from prev, the last fiber of the previous block; the first row of an
-    arc (prev None) comes from the scan, as do rays Newton cannot place.
+    DSL rows are walked together, as one block of rays (_walk), from
+    prev, the last fiber of the previous block; the first row of an arc
+    (prev None) comes from the scan, as do rays Newton cannot place.
     A row whose rays all miss raises FiberError, so every row holds a
     finite point.
     """

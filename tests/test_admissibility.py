@@ -315,6 +315,26 @@ class TestCheckAdmissible:
         assert reports[0] == reports[1]
         assert reports[0]["witness"] is not None
 
+    def test_block_solve_follows_the_first_of_two_roots(self, sphere, monkeypatch):
+        # each ray meets p1 = 0 where |xi| = 1 and where |xi| = 2; the walk
+        # stays on the first, while Newton seeded from the arc's first
+        # fiber, far up the arc, jumps to the second near t = 0
+        arc = longitude_arc(sphere, (-0.8, 0.0), 0.0)
+        m = moment_map_from_config(sphere, "(xi_t^2 + xi_phi^2 - 1)*(xi_t^2 + xi_phi^2 - 4)", "xi_phi")
+        taus = np.linspace(*arc.param_range, 48)
+        reports, walks = [], []
+        for block in (adm._BLOCK, 1):
+            monkeypatch.setattr(adm, "_BLOCK", block)
+            reports.append(check_admissible(m, arc, EnergyPair(0.0, 0.5), grid=(48, 48)).as_json())
+            blocks = adm._arc_fibers(m, arc, 0.0, taus, adm._angles(48))
+            walks.append(np.concatenate([r for *_, r in blocks]))
+        assert reports[0] == reports[1]
+        np.testing.assert_array_equal(walks[0], walks[1])
+        sigmas = adm._angles(48)
+        f = sphere.value(arc.point(taus)[0])[:, None]
+        first = 1.0 / np.hypot(np.cos(sigmas), f * np.sin(sigmas))
+        np.testing.assert_allclose(walks[0], first, rtol=1e-9)
+
     @pytest.mark.parametrize("E1", [1.0, 2.0])
     @pytest.mark.parametrize(
         "plain, with_xi", [("2", "xi_t - xi_t + 2"), ("phi", "phi + 0 * xi_phi")]
@@ -347,10 +367,11 @@ class TestCheckAdmissible:
         m = Counting(surface=perturbed, p1_expr=parsed.p1_expr, p2_expr=parsed.p2_expr)
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
         check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(128, 128))
-        # one block: the first row takes one scan, at most 13 Newton calls
-        # (12 steps and a last residual) and 4 canonical window searches;
-        # the other rows one Newton pass and the searches again. Re-solving
-        # rows round after round took 158 calls
+        # one block: the first row takes one scan, Newton and the canonical
+        # window searches; the other rows one pass from the first row, then
+        # one round for the rays whose radius one row up is neither that
+        # seed nor where their Newton landed. 17 calls are made; re-solving
+        # rows round after round until they settled took 158
         assert len(sizes) <= (1 + 13 + 4) + (13 + 4)
         assert max(sizes) >= 127 * 128
 
@@ -587,9 +608,9 @@ class TestCanonicalRadius:
     @pytest.mark.parametrize("seed", [3, 5, 11])
     @pytest.mark.parametrize("kind", ["longitude", "latitude"])
     def test_certified_radius_does_not_depend_on_the_seed(self, perturbed, sphere, seed, kind):
-        # verdicts-style DSL arcs: every certified ray gives the same bits
-        # solved from the row above, from the previous block's last row,
-        # and from the scan alone; certification itself does not move
+        # verdicts-style DSL arcs: the walk is _solve from the row above,
+        # and every certified ray (at rest on a sign change) gives the same
+        # bits solved from the previous block's last row and from the scan
         rng = np.random.default_rng(seed)
         profile = (sphere, perturbed)[seed % 2]
         E1 = float(rng.uniform(0.8, 1.25))
@@ -602,26 +623,31 @@ class TestCanonicalRadius:
         rays = _dsl_block(profile, geod, 48, 96, E1)
         walk = adm._walk(rays, None)
         rest = rays[1:]
-        from_above = np.array([adm._solve(rays[[i]], walk[[i - 1]])[0][0] for i in range(1, 48)])
-        ok_above = np.array([adm._solve(rays[[i]], walk[[i - 1]])[1][0] for i in range(1, 48)])
-        from_block, ok_block = adm._solve(rest, np.broadcast_to(walk[0], rest.s.shape))
-        from_scan, ok_scan = adm._solve(rest, np.full(rest.s.shape, np.nan))
-        np.testing.assert_array_equal(ok_block, ok_above)
-        np.testing.assert_array_equal(ok_scan, ok_above)
-        assert ok_above.mean() > 0.99
-        for radii in (from_above, from_block, from_scan):
-            np.testing.assert_array_equal(radii[ok_above], walk[1:][ok_above])
+        from_above = np.concatenate([adm._solve(rays[[i]], walk[[i - 1]])[0] for i in range(1, 48)])
+        np.testing.assert_array_equal(from_above, walk[1:])
+        step, _, crossed, _ = adm._least(rest, walk[1:])
+        certified = (step == 0) & crossed
+        assert certified.mean() > 0.99
+        from_block, _ = adm._solve(rest, np.broadcast_to(walk[0], rest.s.shape))
+        from_scan, _ = adm._solve(rest, np.full(rest.s.shape, np.nan))
+        for radii in (from_block, from_scan):
+            np.testing.assert_array_equal(radii[certified], walk[1:][certified])
 
     def test_canonical_float_has_the_least_residual_near_it(self, perturbed):
-        # a certified radius sits at the least |p1 - E1| of its own window,
+        # a canonical radius sits at the least |p1 - E1| of its own window,
         # and p1 - E1 changes sign within it
         geod = longitude_arc(perturbed, (0.3, 0.8), 0.4)
         rays = _dsl_block(perturbed, geod, 8, 64, 1.1)
-        radii, ok = adm._solve(rays, np.full(rays.s.shape, np.nan))
-        assert ok.all()
+        radii, _ = adm._solve(rays, np.full(rays.s.shape, np.nan))
         step, best, crossed, level = adm._least(rays, radii)
         assert (step == 0).all() and crossed.all() and not level.any()
         np.testing.assert_array_equal(best, radii)
+        # _canonical leaves its own results where they are, so _solve may
+        # skip the search where Newton lands on a radius it gave before
+        np.testing.assert_array_equal(adm._canonical(rays, radii), radii)
+        seed = radii * (1.0 + 1e-3)
+        for got, want in zip(adm._solve(rays, seed, known=radii), adm._solve(rays, seed)):
+            np.testing.assert_array_equal(got, want)
 
     def test_rows_of_rays_step_as_the_rays_alone(self, perturbed):
         # a block evaluates f(t) once a row, and steps whole rows while any
@@ -637,21 +663,30 @@ class TestCanonicalRadius:
         seed[3, ::7] = np.nan
         flat = rays.flat(np.arange(seed.size))
         assert np.shape(flat.t) == (seed.size,)
-        by_rows = adm._newton(rays, seed)
-        np.testing.assert_array_equal(by_rows, adm._newton(flat, seed.ravel()).reshape(shape))
+        by_rows, landed = adm._newton(rays, seed)
+        by_rays, landed_alone = adm._newton(flat, seed.ravel())
+        np.testing.assert_array_equal(by_rows, by_rays.reshape(shape))
+        np.testing.assert_array_equal(landed, landed_alone.reshape(shape))
         assert np.isfinite(by_rows).mean() > 0.9
+        # from where a ray landed, Newton lands there again
+        again, landed_again = adm._newton(rays, np.where(landed, by_rows, np.nan))
+        np.testing.assert_array_equal(again[landed], by_rows[landed])
+        assert landed_again[landed].all() and landed.mean() > 0.9
 
     def test_multiple_root_is_not_certified(self, sphere):
         # (|xi|^2 - 1)^2 = 0 has a double root, which Newton nears only
-        # linearly: no radius comes to rest with a sign change
+        # linearly: no radius comes to rest with a sign change, so none
+        # moves from where Newton left it
         m = moment_map_from_config(sphere, "(xi_t^2 + xi_phi^2 - 1)^2", None)
         sigmas = adm._angles(16)
         rays = adm._Rays(m, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), np.cos(sigmas)[None], np.sin(sigmas)[None])
-        _, ok = adm._solve(rays, np.full((1, 16), 1.3))
-        assert not ok.any()
+        seed = np.full((1, 16), 1.0001)
+        by_newton, _ = adm._newton(rays, seed)
+        assert np.isfinite(by_newton).all()
+        np.testing.assert_array_equal(adm._solve(rays, seed)[0], by_newton)
         # at r = 1, |p1 - E1| is least on most rays but positive; only an
-        # exact root, where it is 0, certifies a float
-        radii, ok = adm._canonical(rays, np.ones((1, 16)))
+        # exact root, where it is 0, moves to a float at rest
+        radii = adm._canonical(rays, np.ones((1, 16)))
         exact = rays.residual(radii) == 0.0
         assert exact.any() and not exact.all()
-        np.testing.assert_array_equal(ok, exact)
+        np.testing.assert_array_equal(radii[~exact], 1.0)
