@@ -39,8 +39,9 @@ result is the walk's bit for bit, so the block size bounds memory and
 never changes a report.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
-whole arc: the band's edge, the least rate and its witness are kept as
-the blocks pass.
+whole arc: as the blocks pass, it keeps the p2 range and the frontier of
+the points that could still win, whatever the band's edge turns out to
+be; the least rate in the band is read from that frontier at the end.
 """
 
 from __future__ import annotations
@@ -262,26 +263,18 @@ def _canonical(rays: _Rays, radii):
     return np.where(ok, out, radii)
 
 
-def _solve(rays: _Rays, seed, known=None):
+def _solve(rays: _Rays, seed):
     """(radii, landing): Newton from seed, the scan where it misses, then _canonical.
 
     landing holds the float Newton landed on, NaN where it did not land
-    (_newton): _solve seeded from it gives the same radius. known, if
-    given, holds radii that _solve gave the same rays before. A ray that
-    lands on its known radius keeps it without a window search, since
-    _canonical leaves its own results where they are.
+    (_newton): _solve seeded from it gives the same radius.
     """
     radii, landed = _newton(rays, seed)
     landing = np.where(landed, radii, np.nan)
     miss = np.flatnonzero(np.isnan(radii))
     if miss.size:
         radii.flat[miss] = _scan(rays.flat(miss))
-    if known is None:
-        return _canonical(rays, radii), landing
-    todo = np.flatnonzero(radii != known)
-    if todo.size:
-        radii.flat[todo] = _canonical(rays.flat(todo), radii.flat[todo])
-    return radii, landing
+    return _canonical(rays, radii), landing
 
 
 def _chunks(n_rays: int, n_samples: int):
@@ -405,7 +398,7 @@ def _walk(rays: _Rays, prev):
     todo = n + np.flatnonzero(~(_same(above, prev) | (above == landing[1:])))
     while todo.size:
         old = radii.flat[todo]
-        radii.flat[todo], _ = _solve(rays.flat(todo), radii.flat[todo - n], known=old)
+        radii.flat[todo], _ = _solve(rays.flat(todo), radii.flat[todo - n])
         todo = todo[~_same(radii.flat[todo], old)] + n
         todo = todo[todo < radii.size]
     return radii
@@ -529,21 +522,22 @@ class _Band:
     of least (|rate|, flat index): the argmin of one row-major scan over
     the band.
 
-    With epsilon given, a block's band is known at once. By default
-    epsilon is 5% of the p2 range, known only at the end; the range so
-    far gives a lower bound eps_lo that only grows. Points below it are
-    surely in the band and feed `best`. Points at or above it that beat
-    `best` are held, and of those only the ones that no held point beats
-    at a smaller or equal |p2 - E2| (_frontier): once the band's edge
-    passes a point it passes every point nearer E2, so a point beaten by
-    a nearer one never wins. Held points, one column each (rows _D ...
-    _XP), are sorted by |p2 - E2|, with |rate| never rising.
+    Whatever the final epsilon, the winner is a point that no point at a
+    smaller or equal |p2 - E2| beats, so held keeps the frontier of the
+    points seen (_frontier), in the band or not: one column each (rows _D
+    ... _XP), sorted by |p2 - E2|, with (|rate|, flat index) falling. The
+    winner is the last held column in the band.
+
+    By default epsilon is 5% of the p2 range, known only at the end; the
+    range so far gives a lower bound eps_lo that only grows. A point below
+    it is surely in the band, so of a block's points below eps_lo only the
+    least can win, and of those at or beyond it only the ones that beat
+    that point. With epsilon given, no point beyond it is in the band.
     """
 
     def __init__(self, E2: float, epsilon: Optional[float]):
         self.E2, self.epsilon = E2, epsilon
         self.lo, self.hi = np.inf, -np.inf
-        self.best = None  # one held-point column
         self.held = np.empty((7, 0))
 
     def eps(self) -> float:
@@ -558,66 +552,34 @@ class _Band:
         self.hi = max(self.hi, np.fmax.reduce(p2, axis=None))
         eps = self.eps()
         d, a = np.abs(p2 - self.E2).ravel(), np.abs(rate).ravel()
-        # NaN p2 (a ray that missed) is never below eps; a non-finite rate
-        # is outside the band too
-        inside = np.where(d < eps, a, np.inf)
-        i = int(np.argmin(inside))
-        if np.isnan(inside[i]):
-            inside[np.isnan(inside)] = np.inf
-            i = int(np.argmin(inside))
-        if inside[i] < np.inf:
-            self._offer(self._points(start, [i], d, a, p2, rate, xi_t, xi_phi))
+        # NaN p2 (a ray that missed) is neither below eps nor beyond it,
+        # and a point with a non-finite rate is never a candidate
+        inside = np.where((d < eps) & (a < np.inf), a, np.inf)
+        k = int(np.argmin(inside))
+        least = inside[k]
         if self.epsilon is None:
-            outside = d >= eps
-            if self.best is None:
-                maybe = outside & np.isfinite(a)
-            else:
-                # a tie in |rate| beats best only ahead of it
-                least, cut = self.best[_RATE, 0], max(int(self.best[_FLAT, 0]) - start, 0)
-                maybe = outside & (a < least)
-                maybe[:cut] |= outside[:cut] & (a[:cut] == least)
-            i = np.flatnonzero(maybe)
-            d_i, a_i = d[i], a[i]
-            if i.size and self.held.shape[1]:
-                # the held point nearest E2 but no nearer than a new point
-                # has the least |rate| of those and comes earlier: the new
-                # point must beat it
-                near = np.searchsorted(self.held[_D], d_i, side="right") - 1
-                keep = (near < 0) | (a_i < self.held[_RATE, np.maximum(near, 0)])
-                i, d_i, a_i = i[keep], d_i[keep], a_i[keep]
-            if i.size:
-                i = i[_frontier(d_i, a_i, start + i)]
-                new = self._points(start, i, d, a, p2, rate, xi_t, xi_phi)
-                pts = np.concatenate([self.held, new], axis=1)
-                self.held = pts[:, _frontier(pts[_D], pts[_RATE], pts[_FLAT])]
-            self._settle(eps)
-
-    @staticmethod
-    def _points(start, i, d, a, p2, rate, xi_t, xi_phi):
-        """Held-point columns of the block's points at flat offsets i."""
-        return np.stack([d[i], a[i], np.add(start, i, dtype=float)]
-                        + [np.ravel(x)[i] for x in (p2, rate, xi_t, xi_phi)])
-
-    def _beating(self, pts):
-        """The columns of pts whose (|rate|, flat) is less than best's."""
-        if self.best is None:
-            return pts
-        a, i = self.best[_RATE, 0], self.best[_FLAT, 0]
-        return pts[:, (pts[_RATE] < a) | ((pts[_RATE] == a) & (pts[_FLAT] < i))]
-
-    def _offer(self, pts):
-        """Make the least of pts best, if it beats best."""
-        pts = self._beating(pts)
-        if pts.shape[1]:
-            tie = np.flatnonzero(pts[_RATE] == pts[_RATE].min())
-            self.best = pts[:, [tie[np.argmin(pts[_FLAT, tie])]]]
-
-    def _settle(self, eps: float):
-        """Move held points below eps into the running best, then prune."""
-        inside = self.held[_D] < eps
-        if inside.any():
-            self._offer(self.held[:, inside])
-            self.held = self._beating(self.held[:, ~inside])
+            beyond = d >= eps
+            # a tie in |rate| beats the least inside only ahead of it
+            pick = beyond & (a < least)
+            pick[:k] |= beyond[:k] & (a[:k] == least)
+        else:
+            pick = np.zeros(d.shape, dtype=bool)
+        pick[k] |= least < np.inf
+        i = np.flatnonzero(pick)
+        d_i, a_i = d[i], a[i]
+        if i.size and self.held.shape[1]:
+            # of the held points no farther from E2 than a new point, the
+            # farthest has the least |rate| and comes earlier: the new
+            # point must beat it
+            near = np.searchsorted(self.held[_D], d_i, side="right") - 1
+            keep = (near < 0) | (a_i < self.held[_RATE, np.maximum(near, 0)])
+            i, d_i, a_i = i[keep], d_i[keep], a_i[keep]
+        if i.size:
+            i = i[_frontier(d_i, a_i, start + i)]
+            new = np.stack([d[i], a[i], np.add(start, i, dtype=float)]
+                           + [np.ravel(x)[i] for x in (p2, rate, xi_t, xi_phi)])
+            pts = np.concatenate([self.held, new], axis=1)
+            self.held = pts[:, _frontier(pts[_D], pts[_RATE], pts[_FLAT])]
 
     def finish(self):
         """(epsilon, max |p2|, the winning column or None)."""
@@ -625,8 +587,8 @@ class _Band:
         top = max(abs(self.lo), abs(self.hi))
         if eps <= 0.0:
             eps = 0.05 * max(top, 1.0)
-        self._settle(eps)
-        return eps, float(top), self.best
+        n = int(np.searchsorted(self.held[_D], eps))  # the columns in the band
+        return eps, float(top), self.held[:, [n - 1]] if n else None
 
 
 def _frontier(d, a, flat):
@@ -634,7 +596,7 @@ def _frontier(d, a, flat):
 
     Of points (d, a, flat) = (|p2 - E2|, |rate|, flat index), one at a
     smaller or equal d beats another when its (a, flat) is less. The
-    indices are sorted by d, with a never rising; of points at equal d
+    indices are sorted by d, with (a, flat) falling; of points at equal d
     a few beaten ones may stay.
     """
     order = np.argsort(d)
@@ -696,8 +658,8 @@ def check_admissible(
     sigmas = _angles(n_fiber)
     E1 = energies.E1
 
-    # one walk along the arc; the band keeps only its best point and the
-    # points that may still beat it
+    # one walk along the arc; the band keeps only the points that may
+    # still win
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
     band = _Band(energies.E2, energies.epsilon)
     principal_ok = True

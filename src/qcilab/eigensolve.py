@@ -156,7 +156,6 @@ def _solve(system: RadialOperator, shift: float, x: np.ndarray, step_off: float)
     meets an exactly zero pivot; the solve is then repeated at shift +
     step_off.
     """
-    from scipy.linalg import LinAlgError
     from scipy.linalg.lapack import dgtsv
 
     d, e = system.diag, system.offdiag
@@ -164,7 +163,7 @@ def _solve(system: RadialOperator, shift: float, x: np.ndarray, step_off: float)
     if info > 0:
         *_, y, info = dgtsv(e, d - (shift + step_off), e, x)
     if info != 0:
-        raise LinAlgError(f"tridiagonal solve failed (info={info}) at shift {shift!r}")
+        raise np.linalg.LinAlgError(f"tridiagonal solve failed (info={info}) at shift {shift!r}")
     return y / np.linalg.norm(y)
 
 
@@ -180,8 +179,6 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
     subclass _WindowMiss when lam falls outside (lo, hi), the window that
     fixes which mode it must be.
     """
-    from scipy.linalg import LinAlgError
-
     tol = _RQI_TOL * np.finfo(float).eps * _norm(system)
     x = x / np.linalg.norm(x)
     for _ in range(_RQI_STEPS):
@@ -193,7 +190,7 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
             break
         x = _solve(system, lam, x, tol)
     else:
-        raise LinAlgError(
+        raise np.linalg.LinAlgError(
             f"Rayleigh-quotient iteration did not converge in {_RQI_STEPS} steps "
             f"(k={system.k}, N={system.size})"
         )
@@ -230,7 +227,7 @@ def eigenpairs(system: RadialOperator, count: int):
         raise ValueError("count must be positive")
     if count > system.size // 4:
         raise ValueError(f"count must be at most N/4 = {system.size // 4}")
-    from scipy.linalg import LinAlgError, eigvalsh_tridiagonal
+    from scipy.linalg import eigvalsh_tridiagonal
 
     d, e, n = system.diag, system.offdiag, system.size
     norm = _norm(system)
@@ -239,8 +236,8 @@ def eigenpairs(system: RadialOperator, count: int):
     def bisect(tol):
         try:
             return eigvalsh_tridiagonal(d, e, select="i", select_range=(0, count), tol=tol)
-        except LinAlgError as exc:
-            raise LinAlgError(
+        except np.linalg.LinAlgError as exc:
+            raise np.linalg.LinAlgError(
                 f"radial bisection failed for modes 0..{count} (k={system.k}, N={n}): {exc}"
             ) from exc
 
@@ -279,9 +276,9 @@ def eigenpairs(system: RadialOperator, count: int):
         x = inverse_step(lams[i], inverse_step(lams[i], start))
         try:
             lam, x = _refine(system, x, float(lo[i]), float(hi[i]))
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             # two solves at a certified eigenvalue leave a start inside its window
-            raise LinAlgError(f"radial eigensolve failed for mode {i} (k={system.k}, N={n}): {exc}") from exc
+            raise np.linalg.LinAlgError(f"radial eigensolve failed for mode {i} (k={system.k}, N={n}): {exc}") from exc
         x = inverse_step(lam, x)
         cluster.append(x)
         if shared[i] or (i and shared[i - 1]):
@@ -378,8 +375,6 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
         raise ValueError("solve_modes needs even N >= 512")
     if not 1 <= count <= N // 8:
         raise ValueError(f"count must be between 1 and N/8 = {N // 8}")
-    from scipy.linalg import LinAlgError
-
     fine = assemble_operator(profile, k, N)
     coarse = assemble_operator(profile, k, N // 2)
     # one pair past the last mode, when the coarse grid allows, gives it an upper gap
@@ -394,13 +389,13 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
         try:
             lam_f, a = _refine(fine, b, lam_c - below / 2, lam_c + above / 2)
         except _WindowMiss as exc:
-            raise LinAlgError(
+            raise np.linalg.LinAlgError(
                 f"{exc}: the coarse grid does not resolve mode {i}; "
                 f"count <= {i} or a larger N works"
             ) from exc
-        except LinAlgError as exc:
+        except np.linalg.LinAlgError as exc:
             works = f"; count <= {i} works" if i else ""
-            raise LinAlgError(f"{exc} at mode {i}{works}") from exc
+            raise np.linalg.LinAlgError(f"{exc} at mode {i}{works}") from exc
         a = _normalize(a, fine.step)
         if np.dot(a, b) < 0:
             b = -b

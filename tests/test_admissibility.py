@@ -527,6 +527,10 @@ def _oracle_cases():
         ("empty-band", "sphere", (None, None), straddle, 1.0, 5.0, None),
         ("equator-ties", "sphere", (None, None), ("latitude", (0.0, np.pi / 3)), 1.0, 0.0, None),
         ("equator-ties-dsl", "sphere", (BUILTIN_P1_TEXT, BUILTIN_P2_TEXT), ("latitude", (0.5, 2.0)), 1.2, 0.3, None),
+        # a given epsilon goes through the same frontier as the default band
+        ("explicit-epsilon-equator-ties", "sphere", (None, None), ("latitude", (0.0, np.pi / 3)), 1.0, 0.5, 0.1),
+        ("explicit-epsilon-equator-ties-dsl", "sphere", (BUILTIN_P1_TEXT, BUILTIN_P2_TEXT),
+         ("latitude", (0.0, np.pi / 3)), 1.0, 0.5, 0.1),
     ]
     # p2 moving along the arc widens the default band block by block, so
     # points first held outside it join it later; each p2 here has one
@@ -534,8 +538,12 @@ def _oracle_cases():
     climb = ("longitude", (0.3, 0.8), 0.2)
     cases += [
         ("band-grows-ties", "sphere", (None, "t"), climb, 1.0, 0.33, None),
+        ("band-grows-ties-explicit-epsilon", "sphere", (None, "t"), climb, 1.0, 0.6, 0.1),
         ("band-grows-zero-rate", "sphere", (None, "10*(t-0.35)^2"), climb, 1.0, -0.07, None),
         ("band-grows-straddling-ties", "sphere", (None, "10*(t-0.35)^2 + 0.05*xi_t"), climb, 1.0, -0.07, None),
+        # in the row of least rate, the first points are beyond the band's
+        # edge when the row comes and in the band at the end
+        ("band-grows-ties-in-a-row", "sphere", (None, "5*(t-0.5)^2 + 0.05*xi_t"), climb, 1.0, 0.03, None),
     ]
     return cases
 
@@ -570,6 +578,11 @@ class TestStreamedVerdict:
             def add(self, *args):
                 super().add(*args)
                 sizes.append(self.held.shape[1])
+                # held is a frontier: sorted by |p2 - E2|, |rate| never
+                # rising, and the flat index falling where |rate| ties
+                d, a, flat = self.held[[adm._D, adm._RATE, adm._FLAT]]
+                assert (np.diff(d) >= 0).all() and (np.diff(a) <= 0).all()
+                assert (np.diff(flat)[a[1:] == a[:-1]] < 0).all()
 
         monkeypatch.setattr(adm, "_Band", Recording)
         monkeypatch.setattr(adm, "_BLOCK", 1)
@@ -578,6 +591,16 @@ class TestStreamedVerdict:
         rep = check_admissible(m, arc, EnergyPair(1.0, 2.0), grid=(64, 48))
         assert rep.verdict == "empty-band"
         assert max(sizes) <= 64
+
+    @pytest.mark.parametrize("epsilon", [None, 0.5])
+    def test_non_finite_rates_never_win(self, epsilon):
+        # as in the full scan, a point of the band whose rate is NaN or
+        # infinite is skipped, wherever it sits in the block
+        band = adm._Band(0.0, epsilon)
+        p2 = np.array([[0.0, 0.01, 0.02, 1.0]])
+        band.add(0, p2, np.array([[np.nan, -np.inf, -3.0, 2.0]]), p2, p2)
+        _, _, best = band.finish()
+        assert best[adm._FLAT, 0] == 2 and best[adm._DERIV, 0] == -3.0
 
     def test_cases_cover_ties_misses_and_empty_bands(self, sphere, perturbed):
         # the oracle cases above reach what they are named for
@@ -592,6 +615,13 @@ class TestStreamedVerdict:
             builtin_moment_map(sphere), latitude_arc(sphere, (0.0, np.pi / 3)), EnergyPair(1.0, 0.0), grid=(33, 32)
         )
         assert ties.min_derivative == 0.0
+        # band-grows-ties-in-a-row: the witness is beyond the band's edge
+        # (the default epsilon of the arc so far) when its row comes
+        grows = moment_map_from_config(sphere, None, "5*(t-0.5)^2 + 0.05*xi_t")
+        full = check_admissible(grows, longitude_arc(sphere, (0.3, 0.8), 0.2), EnergyPair(1.0, 0.03), grid=(61, 33))
+        head = check_admissible(grows, longitude_arc(sphere, (0.3, 0.5), 0.2), EnergyPair(1.0, 0.03), grid=(33, 33))
+        assert full.witness["sigma"] == 0.0 and full.min_derivative == 0.0
+        assert head.epsilon < abs(full.witness["p2"] - 0.03) < full.epsilon
 
 
 def _dsl_block(profile, geod, n_tau, n_fiber, E1):
@@ -642,12 +672,8 @@ class TestCanonicalRadius:
         step, best, crossed, level = adm._least(rays, radii)
         assert (step == 0).all() and crossed.all() and not level.any()
         np.testing.assert_array_equal(best, radii)
-        # _canonical leaves its own results where they are, so _solve may
-        # skip the search where Newton lands on a radius it gave before
+        # _canonical leaves its own results where they are
         np.testing.assert_array_equal(adm._canonical(rays, radii), radii)
-        seed = radii * (1.0 + 1e-3)
-        for got, want in zip(adm._solve(rays, seed, known=radii), adm._solve(rays, seed)):
-            np.testing.assert_array_equal(got, want)
 
     def test_rows_of_rays_step_as_the_rays_alone(self, perturbed):
         # a block evaluates f(t) once a row, and steps whole rows while any
