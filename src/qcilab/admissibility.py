@@ -221,17 +221,11 @@ def _least(rays: _Rays, r):
     for _ in range(_ULPS):
         lo.append(np.nextafter(lo[-1], -np.inf))
         hi.append(np.nextafter(hi[-1], np.inf))
-    window = lo[:0:-1] + hi
-    g = rays.residual(np.stack(window))
-    size = np.abs(g)
-    # the first least size along the window, float by float; NaN is never
-    # less, so only a NaN at the start needs replacing
-    least, step, best = np.where(np.isnan(size[0]), np.inf, size[0]), 0, window[0]
-    for k in range(1, len(window)):
-        better = size[k] < least
-        least = np.where(better, size[k], least)
-        step = np.where(better, k, step)
-        best = np.where(better, window[k], best)
+    window = np.stack(lo[:0:-1] + hi)
+    g = rays.residual(window)
+    # argmin takes the first least |g| along the window; NaN is never least
+    step = np.argmin(np.where(np.isnan(g), np.inf, np.abs(g)), axis=0)
+    best = np.take_along_axis(window, step[None], axis=0)[0]
     low, high = g.min(axis=0), g.max(axis=0)
     return step - _ULPS, best, (low <= 0.0) & (high >= 0.0), low == high
 

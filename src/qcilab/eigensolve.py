@@ -19,15 +19,16 @@ no artificial boundary rows are needed. The plain scheme is second
 order; solve_modes sharpens it by Richardson extrapolation across the
 N and N/2 grids (eigenvalues combined as (4 a_N - a_{N/2})/3, radial
 vectors corrected through 4-point Lagrange resampling of the coarse
-solution). Both grids get their vectors from one Rayleigh-quotient
-iteration (_refine), one O(N) tridiagonal solve per step. On the coarse
-grid (eigenpairs) it starts from two inverse-iteration solves at an
-eigenvalue bisected on Sturm sequences only to a tolerance that the
-smallest gap certifies, and stays within half the gaps to the
-neighbouring eigenvalues. Each fine pair starts from its resampled coarse
-vector and must land within half the neighbouring coarse gaps of its
-coarse eigenvalue; a miss means the coarse grid does not resolve that
-mode.
+solution). It streams one mode at a time. Bisection on Sturm sequences
+first locates count + 1 coarse eigenvalues, only to a tolerance that
+the smallest gap certifies; each of the first count gets a window
+reaching halfway to its neighbours (mode 0's reaches down to -inf).
+Both grids then get each vector from one Rayleigh-quotient iteration
+(_refine), one O(N) tridiagonal solve per step, that must land in that
+window: coarse pair i after two inverse-iteration solves at its
+bisected eigenvalue, and fine pair i right after it from the resampled
+coarse vector. A fine miss means the coarse grid does not resolve mode
+i, and the solve stops there.
 
 Radial factors are normalized by 2 pi * sum(w^2) * dt = 1, the discrete
 form of the surface L2 normalization in the (t, phi) chart, and signed so
@@ -143,7 +144,7 @@ def _norm(system: RadialOperator) -> float:
 # Rayleigh-quotient iteration stops once ||T x - sigma x|| <= _RQI_TOL eps ||T||
 # (its floor measured 5e-16 to 1.1e-15 of ||T||) and gives up after
 # _RQI_STEPS residual checks. It needs 2 to 4 from a resampled coarse mode
-# (fine grid), and 1 or 2 after eigenpairs' two inverse-iteration solves at
+# (fine grid), and 1 or 2 after _coarse_pairs' two inverse-iteration solves at
 # a loosely bisected eigenvalue (coarse grid).
 _RQI_TOL = 16.0
 _RQI_STEPS = 8
@@ -202,27 +203,8 @@ def _refine(system: RadialOperator, x: np.ndarray, lo: float, hi: float):
     return lam, x
 
 
-def eigenpairs(system: RadialOperator, count: int):
-    """First `count` eigenpairs of the assembled system, ascending.
-
-    Bisection on Sturm sequences locates count + 1 eigenvalues to the
-    tolerance 1e-8 ||T||, which is certified when 16 times it is at most
-    the smallest gap between them; otherwise they are bisected again at
-    full precision. Each pair then takes two inverse-iteration solves at
-    its bisected eigenvalue from a fixed start, Rayleigh-quotient
-    iteration (_refine) inside the window halfway to its neighbours, and
-    one last solve at the converged eigenvalue. The certificate puts
-    exactly one eigenvalue in each window, so a window miss raises
-    LinAlgError only as a solver fault. Eigenvalues that full-precision
-    bisection cannot separate (a symmetric profile's pole-localised grid
-    modes at high index) share one window. Those and eigenvalues within
-    1e-3 of each other relatively get vectors orthogonalised against each
-    other; other vectors are orthogonal to about eps ||T|| / gap.
-
-    Vectors are returned in the radial normalization 2 pi sum(w^2) dt =
-    1, which makes distinct modes orthonormal in the discrete weighted
-    inner product.
-    """
+def _coarse_pairs(system: RadialOperator, count: int):
+    """eigenpairs, streamed: yields ((lam, vec), (lo, hi)), the pair and its window."""
     if count < 1:
         raise ValueError("count must be positive")
     if count > system.size // 4:
@@ -269,13 +251,13 @@ def eigenpairs(system: RadialOperator, count: int):
 
     # a fixed start for every pair; a constant one would be the k = 0 mode itself
     start = np.random.default_rng(0).uniform(-1.0, 1.0, n)
-    pairs = []
     for i in range(count):
         if i and not near[i - 1]:
             cluster.clear()
+        window = float(lo[i]), float(hi[i])
         x = inverse_step(lams[i], inverse_step(lams[i], start))
         try:
-            lam, x = _refine(system, x, float(lo[i]), float(hi[i]))
+            lam, x = _refine(system, x, *window)
         except np.linalg.LinAlgError as exc:
             # two solves at a certified eigenvalue leave a start inside its window
             raise np.linalg.LinAlgError(f"radial eigensolve failed for mode {i} (k={system.k}, N={n}): {exc}") from exc
@@ -283,8 +265,32 @@ def eigenpairs(system: RadialOperator, count: int):
         cluster.append(x)
         if shared[i] or (i and shared[i - 1]):
             lam = float(lams[i])  # a shared window's members, bisected at full precision, in order
-        pairs.append((lam, _normalize(x, system.step)))
-    return pairs
+        yield (lam, _normalize(x, system.step)), window
+
+
+def eigenpairs(system: RadialOperator, count: int):
+    """First `count` eigenpairs of the assembled system, ascending.
+
+    Bisection on Sturm sequences locates count + 1 eigenvalues to the
+    tolerance 1e-8 ||T||, which is certified when 16 times it is at most
+    the smallest gap between them; otherwise they are bisected again at
+    full precision. Each pair then takes two inverse-iteration solves at
+    its bisected eigenvalue from a fixed start, Rayleigh-quotient
+    iteration (_refine) inside its window, which reaches halfway to the
+    neighbouring eigenvalues (down to -inf for mode 0), and one last
+    solve at the converged eigenvalue. The certificate puts exactly one
+    eigenvalue in each window, so a window miss raises LinAlgError only
+    as a solver fault. Eigenvalues that full-precision bisection cannot
+    separate (a symmetric profile's pole-localised grid modes at high
+    index) share one window. Those and eigenvalues within 1e-3 of each
+    other relatively get vectors orthogonalised against each other; other
+    vectors are orthogonal to about eps ||T|| / gap.
+
+    Vectors are returned in the radial normalization 2 pi sum(w^2) dt =
+    1, which makes distinct modes orthonormal in the discrete weighted
+    inner product.
+    """
+    return [pair for pair, _ in _coarse_pairs(system, count)]
 
 
 @dataclass(frozen=True, eq=False)
@@ -362,14 +368,14 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
     Two-grid Richardson extrapolation over the plain second-order flux
     scheme: eigenvalues (4 lam_N - lam_{N/2})/3, radial vectors
     w + (w - resample(w_coarse))/3, renormalized. Only the N/2 grid is
-    bisected (eigenpairs); each fine pair is refined from its resampled
-    coarse vector and must stay within half the neighbouring coarse gaps
-    of its coarse eigenvalue. Otherwise LinAlgError names the first mode
-    the coarse grid does not resolve, say i: count <= i, or a larger N,
-    works. Other failures of the refinement keep their text and add the
-    mode, and that count <= i works. N must be
-    even and at least 512 so the coarse grid stays valid, and count at
-    most N/8.
+    bisected, and the modes stream one at a time: fine pair i is refined
+    right after coarse pair i, from its resampled coarse vector, and must
+    land in the window that coarse pair was refined in (see eigenpairs).
+    Otherwise LinAlgError names that mode, say i, as the first one the
+    coarse grid does not resolve: count <= i, or a larger N, works.
+    Other failures of the refinement keep their text and add the mode,
+    and that count <= i works. N must be even and at least 512 so the
+    coarse grid stays valid, and count at most N/8.
     """
     if N % 2 or N < 512:
         raise ValueError("solve_modes needs even N >= 512")
@@ -377,17 +383,11 @@ def solve_modes(profile: ProfileFunction, k: int, count: int, N: int = 4096):
         raise ValueError(f"count must be between 1 and N/8 = {N // 8}")
     fine = assemble_operator(profile, k, N)
     coarse = assemble_operator(profile, k, N // 2)
-    # one pair past the last mode, when the coarse grid allows, gives it an upper gap
-    pairs_c = eigenpairs(coarse, min(count + 1, N // 8))
-    lams_c = [lam for lam, _ in pairs_c]
     modes = []
-    for i in range(count):
-        lam_c, w_c = pairs_c[i]
-        below = lam_c - lams_c[i - 1] if i else lams_c[1] - lam_c
-        above = lams_c[i + 1] - lam_c if i + 1 < len(lams_c) else below
+    for i, ((lam_c, w_c), window) in enumerate(_coarse_pairs(coarse, count)):
         b = _interp(coarse.grid, w_c, fine.grid)
         try:
-            lam_f, a = _refine(fine, b, lam_c - below / 2, lam_c + above / 2)
+            lam_f, a = _refine(fine, b, *window)
         except _WindowMiss as exc:
             raise np.linalg.LinAlgError(
                 f"{exc}: the coarse grid does not resolve mode {i}; "
@@ -414,7 +414,7 @@ def profile_hash(profile: ProfileFunction) -> str:
 # stored in every slot header and raised whenever the solver's output or the
 # slot layout changes; a slot holding another value was written by another
 # solver and is a miss
-_SLOT_VERSION = 4
+_SLOT_VERSION = 5
 
 
 def _cache_slot(cache_dir: str, profile: ProfileFunction, k: int, N: int) -> str:

@@ -549,7 +549,7 @@ def _oracle_cases():
 
 
 class TestStreamedVerdict:
-    @pytest.mark.parametrize("block", [adm._BLOCK, 1, 7])
+    @pytest.mark.parametrize("block", [adm._BLOCK, 1, 7, 200])
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
     def test_equals_the_full_array_scan(self, request, monkeypatch, block, case):
         # the verdict streams block by block; it must equal the row-major
@@ -562,7 +562,8 @@ class TestStreamedVerdict:
             geod = longitude_arc(profile, arc[1], arc[2])
         m = moment_map_from_config(profile, p1, p2)
         energies = EnergyPair(E1, E2, epsilon)
-        # several blocks at the default size too
+        # (600, 40) is one block at the default size; (61, 33) streams in
+        # blocks of one row at sizes 1 and 7, and of six rows at 200
         grid = (600, 40) if block == adm._BLOCK else (61, 33)
         monkeypatch.setattr(adm, "_BLOCK", block)
         got = check_admissible(m, geod, energies, grid=grid).as_json()

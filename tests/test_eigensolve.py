@@ -108,6 +108,18 @@ class TestEigenpairs:
             eigenpairs(system, 200)
 
 
+def _refine_sizes(monkeypatch):
+    """The grid size of every _refine call, in call order."""
+    sizes = []
+
+    def record(system, x, lo, hi):
+        sizes.append(system.size)
+        return _refine(system, x, lo, hi)
+
+    monkeypatch.setattr(eigensolve, "_refine", record)
+    return sizes
+
+
 class TestSolveModes:
     def test_high_mode_eigenvalue(self, sphere):
         modes = solve_modes(sphere, 100, 101, N=8192)
@@ -141,6 +153,19 @@ class TestSolveModes:
         # the message names the first unresolved mode and the largest count that works
         assert "does not resolve mode 36;" in str(info.value)
         assert "count <= 36 or a larger N works" in str(info.value)
+
+    def test_each_fine_pair_is_refined_right_after_its_coarse_pair(self, sphere, monkeypatch):
+        # one coarse pair per mode and none past the last one
+        sizes = _refine_sizes(monkeypatch)
+        solve_modes(sphere, 20, 10, N=4096)
+        assert sizes == [2048, 4096] * 10
+
+    def test_a_refusal_stops_the_coarse_solve(self, sphere, monkeypatch):
+        # the coarse pairs past the first unresolved mode are never refined
+        sizes = _refine_sizes(monkeypatch)
+        with pytest.raises(LinAlgError, match="does not resolve mode 36;"):
+            solve_modes(sphere, 2, 40, N=1024)
+        assert sizes.count(512) <= 37
 
     def test_other_refine_failures_pass_through(self, sphere, monkeypatch):
         # only a window miss means the coarse grid does not resolve a mode;
