@@ -18,25 +18,27 @@ directions at equally spaced angles sigma:
 
     xi_t = r cos(sigma),   xi_phi = r f(t) sin(sigma).
 
-For the built-in metric Hamiltonian the radius is the closed form
-r = sqrt(E1), so the fiber is an ellipse; for user-supplied symbols r is
-root-found along the same rays. Fixed sigma therefore means the same
-phase point whichever way the symbol was given.
+Where p1 is homogeneous of degree d > 0 in xi (MomentMap.p1_degree),
+p1(x, r w) = r^d p1(x, w) on the unit ray w, so r = (E1 / p1(x, w))^(1/d)
+in closed form (an ellipse for the builtin metric Hamiltonian, d = 2). It
+depends on the parsed symbol alone, so the builtin symbols and their text
+give one report, bit for bit.
 
-User-supplied radii follow the plain row-by-row walk: each ray is solved
-by Newton seeded from the same ray one fiber up. Where Newton misses, a
-geometric scan brackets the level set and Newton runs inside the
-bracket, with bisection where it leaves it, or a local refinement when
-the level set only touches the ray. Each radius then moves to the float
-of least |p1 - E1| within two floats either side (_canonical), so that
-landings a few floats apart mostly give one radius. The walk is solved
-a block of rows at a time (_walk): one pass seeded from the fiber before
-the block, every ray of the block in the same numpy calls, with the base
-point as one column entry a row, so that f(t) is evaluated once a row;
-then rounds that solve again, from the row above, the few rays whose
-radius one row up is not a seed they were already solved from. The
-result is the walk's bit for bit, so the block size bounds memory and
-never changes a report.
+Every other p1 has its radii root-found along the same rays by the plain
+row-by-row walk: each ray is solved by Newton seeded from the same ray
+one fiber up. Where Newton misses, a geometric scan brackets the level
+set and Newton runs inside the bracket, with bisection where it leaves
+it, or a local refinement when the level set only touches the ray. The
+scan ends at _SCAN_RADII[-1], and so does the closed form. Each radius
+then moves to the float of least |p1 - E1| within two floats either side
+(_canonical), so that landings a few floats apart mostly give one
+radius. The walk is solved a block of rows at a time (_walk): one pass
+seeded from the fiber before the block, every ray of the block in the
+same numpy calls, with the base point as one column entry a row, so that
+f(t) is evaluated once a row; then rounds that solve again, from the row
+above, the few rays whose radius one row up is not a seed they were
+already solved from. The result is the walk's bit for bit, so the block
+size bounds memory and never changes a report.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: as the blocks pass, it keeps the p2 range and the frontier of
@@ -64,7 +66,7 @@ __all__ = [
 
 # residual tolerance for fiber points, |p1 - E1|
 _FIBER_TOL = 1e-10
-# radial scan for DSL level sets
+# radial scan of the walk; no radius lies beyond its end
 _SCAN_RADII = np.geomspace(1e-8, 1e3, 221)
 # |grad_xi p1| must exceed this for real principal type
 _PRINCIPAL_TOL = 1e-6
@@ -410,48 +412,54 @@ def _angles(n: int):
 def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
     """Fibers over the base points (ts[i], phis[i]) along the coframe rays.
 
-    Returns (xi_t, xi_phi, radii), each of shape (len(ts), len(sigmas));
-    NaN entries mark rays that miss the level set (possible only for DSL
-    maps). The built-in p1 has the closed-form radius sqrt(E1).
+    Returns (xi_t, xi_phi, radii, coframe), the first three of shape
+    (len(ts), len(sigmas)) with NaN on rays that miss the level set, and
+    coframe the unit rays w = (cos sigma, sin sigma, f(t) sin sigma).
 
-    DSL rows are walked together, as one block of rays (_walk), from
-    prev, the last fiber of the previous block; the first row of an arc
-    (prev None) comes from the scan, as do rays Newton cannot place.
-    A row whose rays all miss raises FiberError, so every row holds a
-    finite point.
+    A p1 of degree d > 0 in xi has the radius (E1 / p1(x, w))^(1/d), from
+    one p1 call a block; a ray misses where that is not a float in
+    [0, _SCAN_RADII[-1]], the walk's range. Rows of any other p1 are
+    walked together, as one block of rays (_walk), from prev, the last
+    fiber of the previous block; the first row of an arc (prev None) comes
+    from the scan, as do rays Newton cannot place. A row whose rays all
+    miss raises FiberError, so every row holds a finite point.
     """
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
+    s = f * sn
     shape = (len(ts), len(sigmas))
-    if map_.is_builtin_p1:
-        if E1 < 0.0:
-            raise FiberError(f"empty fiber: p1 >= 0 everywhere but E1 = {E1}")
-        radii = np.full(shape, np.sqrt(E1))
+    d = map_.p1_degree
+    if d is not None and d > 0:
+        # in place: a fresh block-sized array costs more than a pass over it
+        with np.errstate(all="ignore"):
+            radii = np.divide(E1, np.broadcast_to(map_.p1(ts[:, None], phis[:, None], cs, s), shape))
+            radii **= 1.0 / d  # numpy takes the square root itself at d = 2
+        radii[~((radii >= 0.0) & (radii <= _SCAN_RADII[-1]))] = np.nan
     else:
-        rays = _Rays(map_, E1, ts[:, None], phis[:, None], np.broadcast_to(cs, shape), f * sn)
-        radii = _walk(rays, prev)
-        if not np.isfinite(radii).any(axis=1).all():
-            raise FiberError(
-                f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays"
-            )
-    return radii * cs, radii * f * sn, radii
+        radii = _walk(_Rays(map_, E1, ts[:, None], phis[:, None], np.broadcast_to(cs, shape), s), prev)
+    if not np.isfinite(radii).any(axis=1).all():
+        raise FiberError(f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays")
+    xi_phi = radii * f
+    xi_phi *= sn  # radii * f * sn, without a second fresh array
+    return radii * cs, xi_phi, radii, (cs, sn, s)
 
 
 def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
     """Walk the arc in blocks of rows, yielding the fibers over geod(taus).
 
-    Yields (rows, t, phi, xi_t, xi_phi, radii) with rows a slice of taus;
-    a block holds about _BLOCK points, which bounds the memory of every
-    step that follows. DSL walks chain from row to row across blocks.
+    Yields (rows, t, phi, xi_t, xi_phi, radii, coframe) with rows a slice
+    of taus and coframe as _fibers gives it; a block holds about _BLOCK
+    points, which bounds the memory of every step that follows. Walks
+    chain from row to row across blocks.
     """
     step = max(1, _BLOCK // len(sigmas))
     last = None
     for start in range(0, len(taus), step):
         rows = slice(start, start + step)
         t, phi = geod.point(taus[rows], checked=False)
-        xi_t, xi_phi, radii = _fibers(map_, t, phi, E1, sigmas, prev=last)
+        xi_t, xi_phi, radii, coframe = _fibers(map_, t, phi, E1, sigmas, prev=last)
         last = radii[-1]
-        yield rows, t, phi, xi_t, xi_phi, radii
+        yield rows, t, phi, xi_t, xi_phi, radii, coframe
 
 
 # -- principal type and rates -------------------------------------------------
@@ -469,20 +477,20 @@ def check_principal_type(map_: MomentMap, geod: Geodesic, E1: float, grid=(128, 
     blocks = _arc_fibers(map_, geod, E1, taus, _angles(int(grid[1])))
     return all(
         _principal_ok(xt, *map_.partials("p1", t[:, None], phi[:, None], xt, xp, over=_XI))
-        for _, t, phi, xt, xp, _ in blocks
+        for _, t, phi, xt, xp, *_ in blocks
     )
 
 
-def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, sigmas):
+def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, coframe):
     """(d p2 / d tau at fixed sigma, principal type of p1), one base point a row.
 
+    coframe is the block's (cos sigma, sin sigma, f(t) sin sigma) (_fibers).
     The radius r(tau) of each ray solves p1 = E1, so r' = -d_tau p1 / d_r p1,
     with d_tau taken at fixed r. Then d p2 / d tau = d_tau p2 + d_r p2 r'.
     Where d_tau p1 is exactly 0, r' is 0, even if d_r p1 vanishes too.
     """
     t, phi = t[:, None], phi[:, None]
-    sn = np.sin(sigmas)
-    c, s = np.cos(sigmas), map_.surface.value(t) * sn
+    c, sn, s = coframe
     # at fixed r, tau moves (t, phi) along the arc and, as t moves, turns
     # the coframe: xi_phi = r f(t) sin(sigma)
     speed = {v: d for v, d in zip(("t", "phi"), geod.tangent()) if d}
@@ -657,8 +665,8 @@ def check_admissible(
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
     band = _Band(energies.E2, energies.epsilon)
     principal_ok = True
-    for rows, t, phi, xi_t, xi_phi, radii in _arc_fibers(map_, geod, E1, taus, sigmas):
-        deriv, ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, sigmas)
+    for rows, t, phi, xi_t, xi_phi, radii, coframe in _arc_fibers(map_, geod, E1, taus, sigmas):
+        deriv, ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
         principal_ok = principal_ok and ok
         p2 = np.broadcast_to(map_.p2(t[:, None], phi[:, None], xi_t, xi_phi), xi_t.shape)
         band.add(rows.start * n_fiber, p2, deriv, xi_t, xi_phi)

@@ -446,30 +446,57 @@ def _diff(node: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-# -- moment maps ---------------------------------------------------------------
+def _degree(node: Expr) -> Optional[int]:
+    """The d with node(t, phi, r xi) = r^d node(t, phi, xi) for all r > 0, or None.
 
-# the builtin slots as expressions, for their partials
-_BUILTIN_EXPR = {"p1": parse_expr(BUILTIN_P1_TEXT), "p2": parse_expr(BUILTIN_P2_TEXT)}
+    xi_t and xi_phi have degree 1; constants, t and phi 0. '*' adds degrees,
+    '/' subtracts them, '^n' multiplies by n; '+' and '-' need equal ones;
+    abs keeps the degree, sqrt halves an even one; sin, cos, f and fp need
+    degree 0. Anything else has no degree.
+    """
+    if isinstance(node, Num):
+        return 0
+    if isinstance(node, Var):
+        return int(node.name in ("xi_t", "xi_phi"))
+    if isinstance(node, Neg):
+        return _degree(node.operand)
+    if isinstance(node, Pow):
+        d = _degree(node.base)
+        return None if d is None else d * node.exponent
+    if isinstance(node, BinOp):
+        a, b = _degree(node.left), _degree(node.right)
+        if a is None or b is None or (node.op in "+-" and a != b):
+            return None
+        return {"+": a, "-": a, "*": a + b, "/": a - b}[node.op]
+    d = _degree(node.arg)
+    if d is None or node.func == "abs":
+        return d
+    if node.func == "sqrt":
+        return None if d % 2 else d // 2
+    return 0 if d == 0 and node.func in ("sin", "cos", "f", "fp") else None
+
+
+# -- moment maps ---------------------------------------------------------------
 
 
 @dataclass(frozen=True)
 class MomentMap:
     """Pair of commuting classical symbols p1, p2 on T*M.
 
-    When an expression slot is None the corresponding builtin closed form
-    is used: p1 = xi_t^2 + xi_phi^2 / f(t)^2 (metric Hamiltonian) and
-    p2 = xi_phi (angular momentum). Overrides are DSL expressions, each
-    compiled once (compile_expr) on its first evaluation.
+    Each slot is a DSL expression, compiled once (compile_expr) on its
+    first evaluation. The slots default to BUILTIN_P1_TEXT, the metric
+    Hamiltonian p1 = xi_t^2 + xi_phi^2 / f(t)^2, and BUILTIN_P2_TEXT, the
+    angular momentum p2 = xi_phi, so the builtin symbols and their text are
+    one map.
 
-    partials gives exact partial derivatives of either slot. They are
-    differentiated on the AST (the builtin slots from BUILTIN_P1_TEXT and
-    BUILTIN_P2_TEXT) and compiled once, on first use, for all four
-    variables.
+    partials gives exact partial derivatives of either slot, differentiated
+    on the AST and compiled once, on first use, for all four variables.
+    p1_degree is p1's degree of homogeneity in (xi_t, xi_phi), or None.
     """
 
     surface: ProfileFunction
-    p1_expr: Optional[Expr] = None
-    p2_expr: Optional[Expr] = None
+    p1_expr: Expr = parse_expr(BUILTIN_P1_TEXT)
+    p2_expr: Expr = parse_expr(BUILTIN_P2_TEXT)
 
     @cached_property
     def _p1(self):
@@ -484,27 +511,20 @@ class MomentMap:
         """{slot: {variable: compiled partial, or None where it is 0}}."""
         out = {}
         for slot, expr in (("p1", self.p1_expr), ("p2", self.p2_expr)):
-            if expr is None:
-                expr = _BUILTIN_EXPR[slot]
             derivs = {var: _diff(expr, var) for var in VARIABLES}
             out[slot] = {
                 var: None if _is(d, 0.0) else compile_expr(d, self.surface) for var, d in derivs.items()
             }
         return out
 
-    @property
-    def is_builtin_p1(self) -> bool:
-        return self.p1_expr is None
+    @cached_property
+    def p1_degree(self) -> Optional[int]:
+        return _degree(self.p1_expr)
 
     def p1(self, t, phi, xi_t, xi_phi):
-        if self.p1_expr is None:
-            fsq = self.surface.sq(t)
-            return xi_t * xi_t + xi_phi * xi_phi / fsq
         return self._p1(t, phi, xi_t, xi_phi)
 
     def p2(self, t, phi, xi_t, xi_phi):
-        if self.p2_expr is None:
-            return xi_phi if np.ndim(xi_phi) else float(xi_phi)
         return self._p2(t, phi, xi_t, xi_phi)
 
     def partials(self, slot: str, t, phi, xi_t, xi_phi, over=VARIABLES):
@@ -526,7 +546,6 @@ def builtin_moment_map(profile: ProfileFunction) -> MomentMap:
 def moment_map_from_config(
     profile: ProfileFunction, p1_text: Optional[str], p2_text: Optional[str]
 ) -> MomentMap:
-    """Build a MomentMap from optional expression strings."""
-    p1 = parse_expr(p1_text) if p1_text is not None else None
-    p2 = parse_expr(p2_text) if p2_text is not None else None
-    return MomentMap(surface=profile, p1_expr=p1, p2_expr=p2)
+    """Build a MomentMap from expression strings; a slot given as None keeps its builtin text."""
+    given = {"p1_expr": p1_text, "p2_expr": p2_text}
+    return MomentMap(profile, **{slot: parse_expr(text) for slot, text in given.items() if text is not None})

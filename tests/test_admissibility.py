@@ -21,7 +21,7 @@ from qcilab import admissibility as adm
 
 def fiber_points(map_, x, E1, n):
     """The finite points of the fiber over x = (t, phi) at n coframe angles."""
-    xi_t, xi_phi, _ = adm._fibers(map_, np.array([x[0]]), np.array([x[1]]), E1, adm._angles(n))
+    xi_t, xi_phi, *_ = adm._fibers(map_, np.array([x[0]]), np.array([x[1]]), E1, adm._angles(n))
     keep = np.isfinite(xi_t[0])
     return list(zip(xi_t[0][keep].tolist(), xi_phi[0][keep].tolist()))
 
@@ -51,24 +51,22 @@ class TestFiberPoints:
         with pytest.raises(FiberError):
             fiber_points(sphere_map, (0.0, 0.0), -1.0, 8)
 
-    def test_parsed_kinetic_symbol_traces_same_shell(self, sphere, sphere_map):
-        # builtin and parsed points both sit on the coframe rays
-        # (cos sigma, f(t) sin sigma), so they coincide angle by angle
-        parsed = moment_map_from_config(
-            sphere, "xi_t^2 + xi_phi^2 / f(t)^2", None
-        )
+    def test_parsed_kinetic_symbol_traces_same_shell(self, sphere):
+        # a p1 not homogeneous in xi is walked along the coframe rays
+        # (cos sigma, f(t) sin sigma); on each ray it is the quadratic
+        # a r^2 + b r with a = cos^2 + 2 sin^2 and b = 0.1 sin(t) cos, so
+        # the walk must land on its positive root r = (sqrt(b^2 + 4a) - b) / 2a
+        parsed = moment_map_from_config(sphere, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", None)
+        assert parsed.p1_degree is None
         pts = fiber_points(parsed, (0.4, 0.0), 1.0, 16)
-        builtin = fiber_points(sphere_map, (0.4, 0.0), 1.0, 16)
-        assert len(pts) == len(builtin) == 16
+        assert len(pts) == 16
         f = sphere.value(0.4)
-        for i, ((xt, xp), ref) in enumerate(zip(pts, builtin)):
+        for i, (xt, xp) in enumerate(pts):
             sigma = 2 * np.pi * i / 16
-            # on the shell, and on its own coframe ray
-            assert xt**2 + xp**2 / f**2 == pytest.approx(1.0, abs=1e-10)
-            assert xt * f * np.sin(sigma) - xp * np.cos(sigma) == pytest.approx(
-                0.0, abs=1e-10
-            )
-            assert (xt, xp) == pytest.approx(ref, abs=1e-10)
+            c, sn = np.cos(sigma), np.sin(sigma)
+            a, b = c * c + 2 * sn * sn, 0.1 * np.sin(0.4) * c
+            r = (np.sqrt(b * b + 4 * a) - b) / (2 * a)
+            assert (xt, xp) == pytest.approx((r * c, r * f * sn), abs=1e-10)
 
     def test_rays_missing_the_level_set_are_dropped(self, sphere):
         # p1 = xi_t^2 never reaches 1 on the two vertical rays
@@ -272,11 +270,9 @@ class TestCheckAdmissible:
         self, perturbed, monkeypatch
     ):
         # the arc is walked in blocks of rows; one row per block is the
-        # plain per-tau walk, and DSL seeds must chain across blocks
+        # plain per-tau walk, and the walk's seeds must chain across blocks
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
-        parsed = moment_map_from_config(
-            perturbed, "xi_t^2 + xi_phi^2 / f(t)^2", "xi_phi"
-        )
+        parsed = moment_map_from_config(perturbed, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi")
         reports = []
         for block in (adm._BLOCK, 1):
             monkeypatch.setattr(adm, "_BLOCK", block)
@@ -327,7 +323,7 @@ class TestCheckAdmissible:
             monkeypatch.setattr(adm, "_BLOCK", block)
             reports.append(check_admissible(m, arc, EnergyPair(0.0, 0.5), grid=(48, 48)).as_json())
             blocks = adm._arc_fibers(m, arc, 0.0, taus, adm._angles(48))
-            walks.append(np.concatenate([r for *_, r in blocks]))
+            walks.append(np.concatenate([r for *_, r, _ in blocks]))
         assert reports[0] == reports[1]
         np.testing.assert_array_equal(walks[0], walks[1])
         sigmas = adm._angles(48)
@@ -363,17 +359,30 @@ class TestCheckAdmissible:
                 sizes.append(np.size(xi_t))
                 return MomentMap.p1(self, t, phi, xi_t, xi_phi)
 
-        parsed = moment_map_from_config(perturbed, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
+        parsed = moment_map_from_config(perturbed, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi")
         m = Counting(surface=perturbed, p1_expr=parsed.p1_expr, p2_expr=parsed.p2_expr)
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
         check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(128, 128))
         # one block: the first row takes one scan, Newton and the canonical
         # window searches; the other rows one pass from the first row, then
-        # one round for the rays whose radius one row up is neither that
-        # seed nor where their Newton landed. 17 calls are made; re-solving
-        # rows round after round until they settled took 158
+        # rounds for the rays whose radius one row up is neither that seed
+        # nor where their Newton landed. 28 calls are made
         assert len(sizes) <= (1 + 13 + 4) + (13 + 4)
         assert max(sizes) >= 127 * 128
+
+    def test_homogeneous_symbol_takes_one_p1_call_a_block(self, perturbed):
+        # a p1 of degree d in xi has the closed-form radius, read off one
+        # evaluation on the unit rays of the whole block
+        sizes = []
+
+        class Counting(MomentMap):
+            def p1(self, t, phi, xi_t, xi_phi):
+                sizes.append(np.broadcast(t, xi_t, xi_phi).size)
+                return MomentMap.p1(self, t, phi, xi_t, xi_phi)
+
+        m = Counting(surface=perturbed)
+        check_admissible(m, longitude_arc(perturbed, (0.3, 0.8), 1.0), EnergyPair(1.0, 0.5), grid=(128, 128))
+        assert sizes == [128 * 128]
 
     @pytest.mark.parametrize("profile_name", ["sphere", "perturbed"])
     @pytest.mark.parametrize("dsl", [False, True])
@@ -460,8 +469,8 @@ def _full_scan_report(map_, geod, energies, grid, threshold=None):
     xt, xp = np.empty(grid), np.empty(grid)
     p2_mid, deriv = np.empty(grid), np.empty(grid)
     principal_ok = True
-    for rows, t, phi, xi_t, xi_phi, radii in adm._arc_fibers(map_, geod, energies.E1, taus, sigmas):
-        deriv[rows], ok = adm._rates(map_, geod, t, phi, xi_t, xi_phi, radii, sigmas)
+    for rows, t, phi, xi_t, xi_phi, radii, coframe in adm._arc_fibers(map_, geod, energies.E1, taus, sigmas):
+        deriv[rows], ok = adm._rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
         principal_ok = principal_ok and ok
         p2_mid[rows] = map_.p2(t[:, None], phi[:, None], xi_t, xi_phi)
         t_m[rows], phi_m[rows], xt[rows], xp[rows] = t, phi, xi_t, xi_phi
@@ -524,6 +533,8 @@ def _oracle_cases():
         ("constant-p2-fallback", "perturbed", (None, "1"), straddle, 1.0, 1.0, None),
         ("rays-miss", "perturbed", ("xi_t^2", "xi_phi"), straddle, 1.0, 0.3, None),
         ("rays-miss-empty", "perturbed", ("xi_t^2", "xi_phi"), straddle, 1.0, 9.0, None),
+        # a p1 not homogeneous in xi, walked from row to row
+        ("walk", "perturbed", ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi"), straddle, 1.1, 0.3, None),
         ("empty-band", "sphere", (None, None), straddle, 1.0, 5.0, None),
         ("equator-ties", "sphere", (None, None), ("latitude", (0.0, np.pi / 3)), 1.0, 0.0, None),
         ("equator-ties-dsl", "sphere", (BUILTIN_P1_TEXT, BUILTIN_P2_TEXT), ("latitude", (0.5, 2.0)), 1.2, 0.3, None),
@@ -608,7 +619,7 @@ class TestStreamedVerdict:
         arc = longitude_arc(perturbed, (-0.2, 0.4), 1.3)
         miss = moment_map_from_config(perturbed, "xi_t^2", "xi_phi")
         taus = np.linspace(*arc.param_range, 33)
-        radii = np.concatenate([r for *_, r in adm._arc_fibers(miss, arc, 1.0, taus, adm._angles(32))])
+        radii = np.concatenate([r for *_, r, _ in adm._arc_fibers(miss, arc, 1.0, taus, adm._angles(32))])
         assert np.isnan(radii).any()
         empty = check_admissible(miss, arc, EnergyPair(1.0, 9.0), grid=(33, 32))
         assert empty.verdict == "empty-band"
@@ -625,14 +636,77 @@ class TestStreamedVerdict:
         assert head.epsilon < abs(full.witness["p2"] - 0.03) < full.epsilon
 
 
-def _dsl_block(profile, geod, n_tau, n_fiber, E1):
-    """The rays of the fibers over geod at n_tau rows, for the builtin symbols as text."""
-    m = moment_map_from_config(profile, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
+def _dsl_block(profile, geod, n_tau, n_fiber, E1, p1_text=BUILTIN_P1_TEXT):
+    """The rays of the fibers over geod at n_tau rows, for p1_text (the builtin p1 by default)."""
+    m = moment_map_from_config(profile, p1_text, None)
     t, phi = geod.point(np.linspace(*geod.param_range, n_tau))
     sigmas = adm._angles(n_fiber)
     f = profile.value(t)[:, None]
     shape = (n_tau, n_fiber)
     return adm._Rays(m, E1, t[:, None], phi[:, None], np.broadcast_to(np.cos(sigmas), shape), f * np.sin(sigmas))
+
+
+class TestClosedFormRadius:
+    @pytest.mark.parametrize(
+        "p1_text, degree",
+        [
+            ("sqrt(xi_t^2 + xi_phi^2 / f(t)^2)", 1),
+            ("abs(xi_t) + abs(xi_phi)", 1),
+            # rays with cos(sigma) <= 0 never reach E1 > 0
+            ("xi_t", 1),
+            (BUILTIN_P1_TEXT, 2),
+            ("(1 + t^2) * (xi_t^2 + xi_phi^2 / f(t)^2)", 2),
+            # the vertical rays reach E1 only beyond the scan
+            ("xi_t^2", 2),
+            ("(xi_t^2 + xi_phi^2 / f(t)^2)^2", 4),
+        ],
+    )
+    def test_closed_form_equals_the_walk(self, perturbed, p1_text, degree):
+        # p1(x, r w) = r^d p1(x, w): the closed form finds the radius the
+        # walk root-finds on the same rays, and misses the rays it misses
+        geod = longitude_arc(perturbed, (0.3, 0.8), 0.4)
+        rays = _dsl_block(perturbed, geod, 24, 64, 1.3, p1_text)
+        assert rays.map_.p1_degree == degree
+        t, phi = geod.point(np.linspace(*geod.param_range, 24))
+        closed = adm._fibers(rays.map_, t, phi, 1.3, adm._angles(64))[2]
+        walk = adm._walk(rays, None)
+        # NaN matches NaN here, at the same rays
+        np.testing.assert_allclose(closed, walk, rtol=1e-14)
+        assert bool(np.isnan(walk).any()) is (p1_text in ("xi_t", "xi_t^2"))
+
+    @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
+    def test_builtin_and_text_spellings_give_one_report(self, request, case):
+        _, profile_name, symbols, arc, E1, E2, epsilon = case
+        profile = request.getfixturevalue(profile_name)
+        geod = latitude_arc(profile, arc[1]) if arc[0] == "latitude" else longitude_arc(profile, arc[1], arc[2])
+        # each builtin slot once omitted and once given as its text
+        pairs = list(zip(symbols, (BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)))
+        spelled = [
+            moment_map_from_config(profile, *(None if x == text else x for x, text in pairs)),
+            moment_map_from_config(profile, *(text if x is None else x for x, text in pairs)),
+        ]
+        reports = [check_admissible(m, geod, EnergyPair(E1, E2, epsilon), grid=(61, 33)).as_json() for m in spelled]
+        assert reports[0] == reports[1]
+
+    @pytest.mark.parametrize("E1", [-1.0, 0.0, 1e-20, 4e6])
+    def test_builtin_and_text_spellings_give_one_outcome(self, perturbed, E1):
+        # the same report, or the same FiberError: no level set below 0,
+        # the zero section at 0, and none beyond the scan at 4e6
+        arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
+
+        def outcome(m):
+            try:
+                return check_admissible(m, arc, EnergyPair(E1, 0.5), grid=(64, 64)).as_json()
+            except FiberError as exc:
+                return str(exc)
+
+        text = moment_map_from_config(perturbed, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
+        got = outcome(builtin_moment_map(perturbed))
+        assert got == outcome(text)
+        if E1 in (-1.0, 4e6):
+            assert got == f"empty fiber: level set p1 = {E1} not met along any of 64 rays"
+        if E1 == 0.0:
+            assert fiber_points(text, (0.4, 1.0), 0.0, 8) == [(0.0, 0.0)] * 8
 
 
 class TestCanonicalRadius:

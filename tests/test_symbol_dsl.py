@@ -20,7 +20,7 @@ from qcilab import (
     moment_map_from_config,
     parse_expr,
 )
-from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _diff
+from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _degree, _diff
 
 
 def ev(text, profile=None, **env):
@@ -232,7 +232,10 @@ class TestMomentMap:
         assert sphere_map.p2(0.6, 0.0, 1.0, 0.5) == 0.5
 
     def test_builtin_flags(self, sphere_map):
-        assert sphere_map.is_builtin_p1 and sphere_map.p2_expr is None
+        # the builtin slots are the parsed builtin text
+        assert sphere_map.p1_expr == parse_expr(BUILTIN_P1_TEXT)
+        assert sphere_map.p2_expr == parse_expr(BUILTIN_P2_TEXT)
+        assert sphere_map.p1_degree == 2
 
     def test_symbols_are_compiled_once(self, sphere, monkeypatch):
         import qcilab.symbol_dsl as dsl
@@ -253,15 +256,13 @@ class TestMomentMap:
 
     def test_parsed_builtin_text_matches_builtin(self, sphere, sphere_map):
         parsed = moment_map_from_config(sphere, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
-        assert not (parsed.is_builtin_p1 or parsed.p2_expr is None)
+        assert parsed == sphere_map
         rng = np.random.default_rng(7)
         pts = rng.uniform(-0.9, 0.9, (1000, 4))
         pts[:, 1] *= np.pi
         pts[:, 2:] *= 3.0
         for t, phi, xt, xp in pts:
-            b1 = sphere_map.p1(t, phi, xt, xp)
-            d1 = parsed.p1(t, phi, xt, xp)
-            assert abs(b1 - d1) <= 1e-12 * max(1.0, abs(b1))
+            assert parsed.p1(t, phi, xt, xp) == sphere_map.p1(t, phi, xt, xp)
             assert parsed.p2(t, phi, xt, xp) == sphere_map.p2(t, phi, xt, xp)
 
     def test_custom_symbols(self, sphere):
@@ -275,8 +276,44 @@ class TestMomentMap:
 
     def test_builtin_defaults_when_text_none(self, sphere):
         m = moment_map_from_config(sphere, None, None)
-        assert m.is_builtin_p1 and m.p2_expr is None
+        assert (m.p1_expr, m.p2_expr) == (parse_expr(BUILTIN_P1_TEXT), parse_expr(BUILTIN_P2_TEXT))
         assert m == builtin_moment_map(sphere)
+        assert moment_map_from_config(sphere, None, "t").p1_expr == m.p1_expr
+
+
+class TestDegree:
+    @pytest.mark.parametrize(
+        "text, degree",
+        [
+            (BUILTIN_P1_TEXT, 2),
+            (f"sqrt({BUILTIN_P1_TEXT})", 1),
+            ("(1 + t^2) * (xi_t^2 + xi_phi^2 / f(t)^2)", 2),
+            ("abs(xi_t) + abs(xi_phi)", 1),
+            ("-xi_t^3 / xi_phi", 2),
+            ("cos(phi) * xi_phi - fp(t) * xi_t", 1),
+            ("(xi_t^2 + xi_phi^2)^2", 4),
+            ("1 / xi_t", -1),
+            ("2 * sin(t)", 0),
+            (f"{BUILTIN_P1_TEXT} + 0.1", None),
+            (f"({BUILTIN_P1_TEXT} - 1)^2", None),
+            ("xi_t - xi_t + 2", None),
+            ("sin(xi_t)", None),
+            ("f(xi_phi)", None),
+            ("sqrt(xi_t)", None),
+        ],
+    )
+    def test_degree_of_homogeneity_in_xi(self, text, degree):
+        assert _degree(parse_expr(text)) == degree
+
+    @pytest.mark.parametrize("text", [BUILTIN_P1_TEXT, "(1 + t^2) * abs(xi_t)^3 / xi_phi", "sqrt(xi_t^2 + phi^2 * xi_phi^2)"])
+    def test_degree_is_the_scaling_law(self, perturbed, text):
+        # p(t, phi, r xi) = r^d p(t, phi, xi) for r > 0
+        d = _degree(parse_expr(text))
+        rng = np.random.default_rng(5)
+        t, phi, xt, xp = rng.uniform(-0.8, 0.8, 50), rng.uniform(0.0, 6.0, 50), *rng.uniform(0.1, 2.0, (2, 50))
+        p = compile_expr(parse_expr(text), perturbed)
+        for r in (0.3, 2.0, 7.0):
+            np.testing.assert_allclose(p(t, phi, r * xt, r * xp), r**d * p(t, phi, xt, xp), rtol=1e-13)
 
 
 class TestDerivatives:
