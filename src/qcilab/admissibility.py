@@ -18,27 +18,24 @@ directions at equally spaced angles sigma:
 
     xi_t = r cos(sigma),   xi_phi = r f(t) sin(sigma).
 
-Where p1 is homogeneous of degree d > 0 in xi (MomentMap.p1_degree),
-p1(x, r w) = r^d p1(x, w) on the unit ray w, so r = (E1 / p1(x, w))^(1/d)
-in closed form (an ellipse for the builtin metric Hamiltonian, d = 2). It
-depends on the parsed symbol alone, so the builtin symbols and their text
-give one report, bit for bit.
+Along each ray p1 is read as a polynomial in r, and every root of
+p1 = E1 on it is taken in closed form:
 
-Every other p1 has its radii root-found along the same rays by the plain
-row-by-row walk: each ray is solved by Newton seeded from the same ray
-one fiber up. Where Newton misses, a geometric scan brackets the level
-set and Newton runs inside the bracket, with bisection where it leaves
-it, or a local refinement when the level set only touches the ray. The
-scan ends at _SCAN_RADII[-1], and so does the closed form. Each radius
-then moves to the float of least |p1 - E1| within two floats either side
-(_canonical), so that landings a few floats apart mostly give one
-radius. The walk is solved a block of rows at a time (_walk): one pass
-seeded from the fiber before the block, every ray of the block in the
-same numpy calls, with the base point as one column entry a row, so that
-f(t) is evaluated once a row; then rounds that solve again, from the row
-above, the few rays whose radius one row up is not a seed they were
-already solved from. The result is the walk's bit for bit, so the block
-size bounds memory and never changes a report.
+* Where p1 is homogeneous of degree d > 0 in xi (MomentMap.p1_degree),
+  p1(x, r w) = r^d p1(x, w) on the unit ray w, so r = (E1 / p1(x, w))^(1/d)
+  (an ellipse for the builtin metric Hamiltonian, d = 2). It depends on
+  the parsed symbol alone, so the builtin symbols and their text give one
+  report, bit for bit.
+* Where p1 is a ray polynomial, sum_{d <= 4} a_d(x, w) r^d with each a_d
+  read off the expression (MomentMap.p1_grades), each ray takes all of
+  its positive roots (_roots): -a_0/a_1, the cancellation-free quadratic
+  formula, or companion-matrix eigenvalues. A ray of top degree m holds
+  m roots, ascending and padded with NaN, and the root axis is folded
+  into the fiber axis, so every later step sees one 2-D block.
+* A p1 of degree 0 is constant along each ray, so no ray meets its
+  level set. Any other p1 is refused with ValueError.
+
+No radius beyond _MAX_RADIUS is kept.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: as the blocks pass, it keeps the p2 range and the frontier of
@@ -54,7 +51,7 @@ from typing import Optional
 import numpy as np
 
 from .geometry import Geodesic
-from .symbol_dsl import MomentMap
+from .symbol_dsl import MomentMap, format_expr
 
 __all__ = [
     "FiberError",
@@ -64,18 +61,15 @@ __all__ = [
     "check_admissible",
 ]
 
-# residual tolerance for fiber points, |p1 - E1|
+# residual tolerance for the roots of a ray polynomial: |p1 - E1| over the
+# size of its terms, or over 1 where they are smaller
 _FIBER_TOL = 1e-10
-# radial scan of the walk; no radius lies beyond its end
-_SCAN_RADII = np.geomspace(1e-8, 1e3, 221)
+# no fiber radius lies beyond this
+_MAX_RADIUS = 1e3
 # |grad_xi p1| must exceed this for real principal type
 _PRINCIPAL_TOL = 1e-6
-# fiber points per block of the walk along the arc
+# fiber rays per block along the arc
 _BLOCK = 1 << 15
-# a canonical radius has the least |p1 - E1| within _ULPS floats either
-# side; a radius not there after _MOVES moves is not certified
-_ULPS = 2
-_MOVES = 4
 _XI = ("xi_t", "xi_phi")
 
 
@@ -132,311 +126,52 @@ class AdmissibilityReport:
 # -- fiber sampling ----------------------------------------------------------
 
 
-class _Rays:
-    """Rays r -> (r c, r s) over base points (t, phi).
-
-    c and s hold one entry a ray. t and phi broadcast against them: flat,
-    one entry a ray, or one column entry per row of a block of fibers, so
-    that a symbol evaluates f(t) once a row. Indexing selects along the
-    first axis; flat(idx) picks rays by flat index, one entry each.
-    """
-
-    def __init__(self, map_: MomentMap, E1: float, t, phi, c, s):
-        self.map_, self.E1 = map_, E1
-        self.t, self.phi, self.c, self.s = t, phi, c, s
-
-    def __len__(self):
-        return len(self.s)
-
-    def __getitem__(self, idx) -> "_Rays":
-        return _Rays(self.map_, self.E1, self.t[idx], self.phi[idx], self.c[idx], self.s[idx])
-
-    def flat(self, idx) -> "_Rays":
-        at = np.unravel_index(idx, self.s.shape)
-        t, phi, c, s = (np.broadcast_to(a, self.s.shape)[at] for a in (self.t, self.phi, self.c, self.s))
-        return _Rays(self.map_, self.E1, t, phi, c, s)
-
-    def residual(self, r):
-        """p1 - E1 at radii r, whose trailing axes run over the rays.
-
-        Read-only when p1 does not depend on xi: it is broadcast to r.
-        """
-        xi_t, xi_phi = r * self.c, r * self.s
-        return np.broadcast_to(self.map_.p1(self.t, self.phi, xi_t, xi_phi) - self.E1, xi_t.shape)
-
-
-def _any_ray(mask):
-    """Per entry of the first axis (a ray, or a row of rays), whether any ray is set."""
-    return mask.any(axis=tuple(range(1, mask.ndim)))
-
-
-def _newton(rays: _Rays, seed):
-    """(radii, landed): up to 12 Newton steps from seed.
-
-    Radii are NaN unless |p1 - E1| <= _FIBER_TOL. Slopes are exact; a
-    zero slope leaves a ray where it stands. Rays with no usable seed (NaN
-    or <= 0) come back NaN. A ray whose step is at most _ULPS floats has
-    landed: it leaves with the radius and residual it stepped from, so
-    Newton seeded from a radius that landed lands there again at once.
-    Rows of a block are stepped while any of their rays is; a ray that has
-    left stays where it stood, so every ray takes the steps it would take
-    alone.
-    """
-    r = np.where(np.isfinite(seed) & (seed > 0), seed, np.nan)
-    resid = np.full(r.shape, np.nan)
-    landed = np.zeros(r.shape, dtype=bool)
-    on = np.isfinite(r)
-    live = np.flatnonzero(_any_ray(on))
-    sub, here, on = rays[live], r[live], on[live]
-    for _ in range(12):
-        if not live.size:
-            break
-        g = sub.residual(here)
-        d_t, d_p = sub.map_.partials("p1", sub.t, sub.phi, here * sub.c, here * sub.s, over=_XI)
-        with np.errstate(divide="ignore", invalid="ignore"):
-            dr = g / (sub.c * d_t + sub.s * d_p)
-        there = np.maximum(here - np.where(np.isfinite(dr), dr, 0.0), 1e-12)
-        done = on & (np.abs(there - here) <= _ULPS * np.spacing(here))
-        r[live] = np.where(done, here, r[live])
-        resid[live] = np.where(done, g, resid[live])
-        landed[live] |= done
-        on &= ~done
-        go = _any_ray(on)
-        live, sub, on = live[go], sub[go], on[go]
-        here = np.where(on, there[go], here[go])
-    if live.size:
-        r[live] = np.where(on, here, r[live])
-        resid[live] = np.where(on, sub.residual(here), resid[live])
-    ok = np.abs(resid) <= _FIBER_TOL
-    return np.where(ok, r, np.nan), ok & landed
-
-
-def _least(rays: _Rays, r):
-    """Where |p1 - E1| is least within _ULPS floats either side of r.
-
-    Returns (offset, float, crossed, level): the offset counts floats
-    from r, negative toward 0, ties going to the smaller float; crossed
-    is True where p1 - E1 takes both signs, or 0, in the window, and
-    level where it takes one value throughout.
-    """
-    lo, hi = [r], [r]
-    for _ in range(_ULPS):
-        lo.append(np.nextafter(lo[-1], -np.inf))
-        hi.append(np.nextafter(hi[-1], np.inf))
-    window = np.stack(lo[:0:-1] + hi)
-    g = rays.residual(window)
-    # argmin takes the first least |g| along the window; NaN is never least
-    step = np.argmin(np.where(np.isnan(g), np.inf, np.abs(g)), axis=0)
-    best = np.take_along_axis(window, step[None], axis=0)[0]
-    low, high = g.min(axis=0), g.max(axis=0)
-    return step - _ULPS, best, (low <= 0.0) & (high >= 0.0), low == high
-
-
-def _canonical(rays: _Rays, radii):
-    """Each radius moved to the float of least |p1 - E1| near it.
-
-    A radius moves to the float of least |p1 - E1| within _ULPS floats
-    either side (_least), up to _MOVES times, until it is that float
-    itself. The move is kept when the float it rests on has a sign change
-    of p1 - E1 in its window (it is certified). On the verdicts
-    benchmark's arcs, Newton landings from every seed tried came to rest
-    on one float, so the radius did not depend on the seed; that is
-    measured, not proved, and _walk does not rely on it. A radius that
-    does not come to rest, or rests without a sign change (a multiple
-    root, which Newton nears only linearly), comes back as given; so does
-    one whose window is level, where ties would move it on without end,
-    and a NaN. Either way a result given again comes back unchanged.
-    """
-    step, out, crossed, level = _least(rays, radii)
-    ok = np.isnan(radii) | ((step == 0) & crossed)
-    todo = np.flatnonzero((step != 0) & ~ok & ~level)
-    for _ in range(_MOVES - 1):
-        if not todo.size:
-            break
-        step, out.flat[todo], crossed, level = _least(rays.flat(todo), out.flat[todo])
-        ok.flat[todo[(step == 0) & crossed]] = True
-        todo = todo[(step != 0) & ~level]
-    return np.where(ok, out, radii)
-
-
-def _solve(rays: _Rays, seed):
-    """(radii, landing): Newton from seed, the scan where it misses, then _canonical.
-
-    landing holds the float Newton landed on, NaN where it did not land
-    (_newton): _solve seeded from it gives the same radius.
-    """
-    radii, landed = _newton(rays, seed)
-    landing = np.where(landed, radii, np.nan)
-    miss = np.flatnonzero(np.isnan(radii))
-    if miss.size:
-        radii.flat[miss] = _scan(rays.flat(miss))
-    return _canonical(rays, radii), landing
-
-
-def _chunks(n_rays: int, n_samples: int):
-    """Slices of n_rays rays, n_samples radii per ray making about _BLOCK points a slice."""
-    width = max(1, _BLOCK // n_samples)
-    return [slice(a, a + width) for a in range(0, n_rays, width)]
-
-
-def _scan(rays: _Rays):
-    """Radii of the level set along each ray, found from the geometric scan.
-
-    A ray whose residual changes sign between two scan radii takes Newton
-    from the middle of the first such bracket; where Newton misses or
-    leaves the bracket, the bracket is bisected. A ray with no sign change
-    is refined around its smallest finite residual (a tangential touch).
-    Bisected and refined radii meet the tolerance only, so Newton polishes
-    them where it can. Rays that never reach the level set come back NaN.
-    """
-    bracket = np.full(len(rays), -1)  # first sign change, -1 for none
-    nearest = np.full(len(rays), -1)  # smallest finite |residual|, -1 for none
-    for cols in _chunks(len(rays), len(_SCAN_RADII)):
-        vals = rays[cols].residual(_SCAN_RADII[:, None])
-        finite = np.isfinite(vals)
-        sign = np.sign(vals)
-        flip = (sign[:-1] * sign[1:] <= 0) & finite[:-1] & finite[1:]
-        bracket[cols] = np.where(flip.any(axis=0), np.argmax(flip, axis=0), -1)
-        near = np.argmin(np.where(finite, np.abs(vals), np.inf), axis=0)
-        nearest[cols] = np.where(finite.any(axis=0), near, -1)
-    radii = np.full(len(rays), np.nan)
-    crossed = np.flatnonzero(bracket >= 0)
-    lo, hi = _SCAN_RADII[bracket[crossed]], _SCAN_RADII[bracket[crossed] + 1]
-    radii[crossed], _ = _newton(rays[crossed], 0.5 * (lo + hi))
-    # a root on a scan radius may land a few floats past the bracket
-    out = ~((radii[crossed] >= lo * (1.0 - 1e-12)) & (radii[crossed] <= hi * (1.0 + 1e-12)))
-    rough = crossed[out]
-    if rough.size:
-        radii[rough] = _bisect(rays[rough], lo[out], hi[out])
-    touch = np.flatnonzero((bracket < 0) & (nearest >= 0))
-    for cols in _chunks(len(touch), 101):
-        radii[touch[cols]] = _tangent(rays[touch[cols]], nearest[touch[cols]])
-    rough = np.concatenate([rough, touch])
-    if rough.size:
-        polished, _ = _newton(rays[rough], radii[rough])
-        radii[rough] = np.where(np.isnan(polished), radii[rough], polished)
-    return radii
-
-
-def _bisect(rays: _Rays, lo, hi):
-    """Bisect each ray's bracket [lo, hi] of p1 - E1, all rays at once.
-
-    A ray stops at the first midpoint within _FIBER_TOL of the level set.
-    Otherwise it stops once its bracket is narrower than 1e-15 max(1, hi),
-    or after 200 halvings, and keeps its last midpoint if that meets the
-    tolerance (NaN if not). Each evaluation halves every live bracket once.
-    """
-    radii = np.full(len(rays), np.nan)
-    g_lo = rays.residual(lo).copy()
-    live = np.arange(len(rays))
-    for _ in range(200):
-        if not live.size:
-            break
-        mid = 0.5 * (lo[live] + hi[live])
-        g_mid = rays[live].residual(mid)
-        hit = np.abs(g_mid) <= _FIBER_TOL
-        radii[live[hit]] = mid[hit]
-        below = g_lo[live] * g_mid < 0
-        hi[live] = np.where(below, mid, hi[live])
-        lo[live] = np.where(below, lo[live], mid)
-        g_lo[live] = np.where(below, g_lo[live], g_mid)
-        narrow = hi[live] - lo[live] < 1e-15 * np.maximum(1.0, hi[live])
-        live = live[~hit & ~narrow]
-    rest = np.flatnonzero(np.isnan(radii))
-    if rest.size:
-        r = 0.5 * (lo[rest] + hi[rest])
-        radii[rest] = np.where(np.abs(rays[rest].residual(r)) <= _FIBER_TOL, r, np.nan)
-    return radii
-
-
-def _tangent(rays: _Rays, nearest):
-    """Rays with no sign change: refine the residual minimum locally.
-
-    Each ray starts from the scan radii either side of _SCAN_RADII[nearest]
-    and narrows that window five times over 101 even samples, all rays in
-    one evaluation per round.
-    """
-    cols = np.arange(len(rays))
-    top = len(_SCAN_RADII) - 1
-    lo = _SCAN_RADII[np.maximum(nearest - 1, 0)]
-    hi = _SCAN_RADII[np.minimum(nearest + 1, top)]
-    ramp = np.arange(101.0)[:, None]
-    for _ in range(5):
-        # np.linspace(lo, hi, 101), column by column
-        rs = ramp * ((hi - lo) / 100) + lo
-        rs[-1] = hi
-        i = np.argmin(np.abs(rays.residual(rs)), axis=0)
-        lo, hi = rs[np.maximum(i - 1, 0), cols], rs[np.minimum(i + 1, 100), cols]
-    r = 0.5 * (lo + hi)
-    return np.where(np.abs(rays.residual(r)) <= _FIBER_TOL, r, np.nan)
-
-
-def _walk(rays: _Rays, prev):
-    """Radii of a block of consecutive fibers, one row of rays each.
-
-    The result is the plain row-by-row walk exactly: every ray is solved
-    by _solve seeded from the same ray one fiber up, from prev for the
-    first fiber; with prev None the first fiber comes from the scan
-    alone. All fibers are first solved at once from prev. A ray whose
-    radius one fiber up is prev, or the float its Newton steps landed on,
-    already has its walk radius. Every other ray is solved again from the
-    ray above, and so is every ray whose radius above then moves, round
-    after round until no radius moves. Canonical radii mostly stay put,
-    so the rounds are few and small.
-    """
-    if prev is None:
-        head, _ = _solve(rays[:1], np.full(rays.s[:1].shape, np.nan))
-        return np.concatenate([head, _walk(rays[1:], head[0])]) if len(rays) > 1 else head
-    radii, landing = _solve(rays, np.broadcast_to(prev, rays.s.shape))
-    n = radii.shape[1]
-    above = radii[:-1]
-    # radii.flat[k] sits below radii.flat[k - n]
-    todo = n + np.flatnonzero(~(_same(above, prev) | (above == landing[1:])))
-    while todo.size:
-        old = radii.flat[todo]
-        radii.flat[todo], _ = _solve(rays.flat(todo), radii.flat[todo - n])
-        todo = todo[~_same(radii.flat[todo], old)] + n
-        todo = todo[todo < radii.size]
-    return radii
-
-
-def _same(a, b):
-    """Elementwise a == b, with NaN equal to NaN."""
-    return (a == b) | (np.isnan(a) & np.isnan(b))
-
-
 def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
+def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
     """Fibers over the base points (ts[i], phis[i]) along the coframe rays.
 
     Returns (xi_t, xi_phi, radii, coframe), the first three of shape
-    (len(ts), len(sigmas)) with NaN on rays that miss the level set, and
-    coframe the unit rays w = (cos sigma, sin sigma, f(t) sin sigma).
-
-    A p1 of degree d > 0 in xi has the radius (E1 / p1(x, w))^(1/d), from
-    one p1 call a block; a ray misses where that is not a float in
-    [0, _SCAN_RADII[-1]], the walk's range. Rows of any other p1 are
-    walked together, as one block of rays (_walk), from prev, the last
-    fiber of the previous block; the first row of an arc (prev None) comes
-    from the scan, as do rays Newton cannot place. A row whose rays all
-    miss raises FiberError, so every row holds a finite point.
+    (len(ts), m len(sigmas)) with NaN where a ray has no root, and coframe
+    the unit rays w = (cos sigma, sin sigma, f(t) sin sigma) of their
+    columns: column j m + k holds root k of ray j. A p1 of degree d > 0 in
+    xi has m = 1 and the radius (E1 / p1(x, w))^(1/d), from one p1 call a
+    block; a ray misses where that is not a float in [0, _MAX_RADIUS]. A
+    ray polynomial has m its top degree: its coefficients are evaluated
+    once a block, on the unit rays, and each ray takes its roots (_roots).
+    A p1 of degree 0 misses on every ray. Any other p1 raises ValueError. A
+    row whose rays all miss raises FiberError, so every row holds a finite
+    point.
     """
+    d = map_.p1_degree
+    closed = d is not None and d > 0
+    grades = None if closed else {0: map_.p1} if d == 0 else map_.p1_grades
+    if not closed and (grades is None or min(grades) < 0 or max(grades) > 4):
+        raise ValueError(
+            "p1 must be homogeneous of a positive degree in (xi_t, xi_phi) or a polynomial of "
+            f"degree at most 4 along each fiber ray; '{format_expr(map_.p1_expr)}' is neither"
+        )
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
     s = f * sn
     shape = (len(ts), len(sigmas))
-    d = map_.p1_degree
-    if d is not None and d > 0:
+    if closed:
         # in place: a fresh block-sized array costs more than a pass over it
         with np.errstate(all="ignore"):
             radii = np.divide(E1, np.broadcast_to(map_.p1(ts[:, None], phis[:, None], cs, s), shape))
             radii **= 1.0 / d  # numpy takes the square root itself at d = 2
-        radii[~((radii >= 0.0) & (radii <= _SCAN_RADII[-1]))] = np.nan
+        radii[~((radii >= 0.0) & (radii <= _MAX_RADIUS))] = np.nan
     else:
-        radii = _walk(_Rays(map_, E1, ts[:, None], phis[:, None], np.broadcast_to(cs, shape), s), prev)
+        a = np.zeros((max(grades) + 1,) + shape)
+        for k, coefficient in grades.items():
+            a[k] = coefficient(ts[:, None], phis[:, None], cs, s)
+        a[0] -= E1
+        with np.errstate(all="ignore"):
+            roots = _roots(a.reshape(len(a), -1))
+        radii = roots.reshape(len(ts), -1)
+        cs, sn, s = (np.repeat(x, roots.shape[1], axis=-1) for x in (cs, sn, s))
     if not np.isfinite(radii).any(axis=1).all():
         raise FiberError(f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays")
     xi_phi = radii * f
@@ -444,22 +179,99 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, prev=None):
     return radii * cs, xi_phi, radii, (cs, sn, s)
 
 
+def _roots(a):
+    """The roots in (0, _MAX_RADIUS] of sum_d a[d] r^d, one polynomial a column of a.
+
+    Returns (columns, max(m, 1)) for m = len(a) - 1, rows ascending and
+    NaN-padded. A column is solved at its own degree (_candidates), that of
+    its top term whose size at _MAX_RADIUS exceeds eps times every lower
+    term's: a term left out changes p by at most eps of its terms' size on
+    (0, _MAX_RADIUS], and the companion matrices stay balanced (as where
+    cos(sigma) rounds to 6e-17). Each candidate takes one Newton step where
+    that lowers |p|, and is kept on the level set (_on_level). Neighbouring
+    roots whose midpoint is on it too are one tangential touch: the first
+    is kept.
+    """
+    m = len(a) - 1
+    roots = np.full((a.shape[1], max(m, 1)), np.nan)
+    size = np.abs(a) * (_MAX_RADIUS ** np.arange(m + 1))[:, None]
+    significant = size[1:] > np.finfo(float).eps * np.maximum.accumulate(size, axis=0)[:-1]
+    top = (significant * np.arange(1, m + 1)[:, None]).max(axis=0, initial=0)
+    for k in range(1, m + 1):
+        cols = np.flatnonzero(top == k)
+        if cols.size:
+            roots[cols, :k] = _candidates(a[: k + 1, cols])
+    p, dp = _horner(a, roots)
+    step = roots - p / dp
+    p_step, _ = _horner(a, step)
+    better = np.abs(p_step) < np.abs(p)
+    roots = np.where(better, step, roots)
+    roots[~(_on_level(a, roots) & (roots > 0.0) & (roots <= _MAX_RADIUS))] = np.nan
+    roots.sort(axis=1)  # NaN last
+    touch = _on_level(a, 0.5 * (roots[:, :-1] + roots[:, 1:]))
+    if touch.any():
+        roots[:, 1:][touch] = np.nan
+        roots.sort(axis=1)
+    return roots
+
+
+def _candidates(c):
+    """Candidate real roots of sum_d c[d] r^d of degree k, shape (columns, k).
+
+    Each real root, and the real part of one root of each complex
+    conjugate pair, where a multiple real root may have landed: -c0/c1 at
+    k = 1; the quadratic formula in its cancellation-free form at k = 2
+    (Higham, Accuracy and Stability of Numerical Algorithms, 2nd ed.,
+    section 1.8); at k = 3 and 4 the eigenvalues of the companion matrices
+    (Edelman and Murakami, Math. Comp. 64 (1995)). NaN fills the rest.
+    """
+    k = len(c) - 1
+    if k == 1:
+        return (-c[0] / c[1])[:, None]
+    if k == 2:
+        c0, c1, c2 = c
+        disc = c1 * c1 - 4.0 * c2 * c0
+        q = -0.5 * (c1 + np.copysign(np.sqrt(disc), c1))
+        pair = disc < 0.0
+        return np.stack([np.where(pair, -0.5 * c1 / c2, q / c2), np.where(pair, np.nan, c0 / q)], axis=1)
+    companion = np.zeros((c.shape[1], k, k))
+    companion[:, 0] = -(c[k - 1 :: -1] / c[k]).T
+    companion[:, np.arange(1, k), np.arange(k - 1)] = 1.0
+    z = np.linalg.eigvals(companion)
+    return np.where(z.imag >= 0.0, z.real, np.nan)
+
+
+def _on_level(a, r):
+    """Whether |p| <= _FIBER_TOL max(1, sum_d |a[d] r^d|) for p = sum_d a[d] r^d (_horner).
+
+    Relative to the size of p's terms, so that rounding loses no large root.
+    """
+    p, _ = _horner(a, r)
+    size, _ = _horner(np.abs(a), np.abs(r))
+    return np.abs(p) <= _FIBER_TOL * np.maximum(1.0, size)
+
+
+def _horner(a, r):
+    """(p, dp/dr) at r, for p = sum_d a[d] r^d with a's columns along r's rows."""
+    p, dp = np.zeros(r.shape), np.zeros(r.shape)
+    for ad in a[::-1]:
+        dp = dp * r + p
+        p = p * r + ad[:, None]
+    return p, dp
+
+
 def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
-    """Walk the arc in blocks of rows, yielding the fibers over geod(taus).
+    """The fibers over geod(taus), a block of rows at a time.
 
     Yields (rows, t, phi, xi_t, xi_phi, radii, coframe) with rows a slice
-    of taus and coframe as _fibers gives it; a block holds about _BLOCK
-    points, which bounds the memory of every step that follows. Walks
-    chain from row to row across blocks.
+    of taus and the rest as _fibers gives it; a block holds about _BLOCK
+    rays, which bounds the memory of every step that follows.
     """
     step = max(1, _BLOCK // len(sigmas))
-    last = None
     for start in range(0, len(taus), step):
         rows = slice(start, start + step)
         t, phi = geod.point(taus[rows], checked=False)
-        xi_t, xi_phi, radii, coframe = _fibers(map_, t, phi, E1, sigmas, prev=last)
-        last = radii[-1]
-        yield rows, t, phi, xi_t, xi_phi, radii, coframe
+        yield (rows, t, phi, *_fibers(map_, t, phi, E1, sigmas))
 
 
 # -- principal type and rates -------------------------------------------------
@@ -648,6 +460,10 @@ def check_admissible(
     ------
     FiberError
         When the level set p1 = E1 misses every ray of some fiber.
+    ValueError
+        When p1 is neither homogeneous of a degree d > 0 in xi nor a
+        polynomial of degree at most 4 along the rays, before any fiber
+        is sampled.
     """
     n_tau, n_fiber = int(grid[0]), int(grid[1])
     if n_tau < 32 or n_fiber < 32:
@@ -660,7 +476,7 @@ def check_admissible(
     sigmas = _angles(n_fiber)
     E1 = energies.E1
 
-    # one walk along the arc; the band keeps only the points that may
+    # one pass along the arc; the band keeps only the points that may
     # still win
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
     band = _Band(energies.E2, energies.epsilon)
@@ -669,18 +485,20 @@ def check_admissible(
         deriv, ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
         principal_ok = principal_ok and ok
         p2 = np.broadcast_to(map_.p2(t[:, None], phi[:, None], xi_t, xi_phi), xi_t.shape)
-        band.add(rows.start * n_fiber, p2, deriv, xi_t, xi_phi)
+        # m root columns a ray, so a row is m n_fiber points wide
+        width = xi_t.shape[1]
+        band.add(rows.start * width, p2, deriv, xi_t, xi_phi)
         t_m[rows], phi_m[rows] = t, phi
 
     eps, scale, best = band.finish()
     thr = float(threshold) if threshold is not None else 1e-3 * (scale if scale > 0.0 else 1.0)
     verdict, min_der, witness = "empty-band", None, None
     if best is not None:
-        i, j = divmod(int(best[_FLAT, 0]), n_fiber)
+        i, col = divmod(int(best[_FLAT, 0]), width)
         min_der = float(best[_RATE, 0])
         witness = {
             "tau": float(taus[i]),
-            "sigma": float(sigmas[j]),
+            "sigma": float(sigmas[col // (width // n_fiber)]),
             "t": float(t_m[i]),
             "phi": float(phi_m[i]),
             "xi_t": float(best[_XT, 0]),

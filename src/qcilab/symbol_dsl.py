@@ -28,7 +28,7 @@ from __future__ import annotations
 import math
 import re
 from dataclasses import dataclass
-from functools import cached_property
+from functools import cached_property, reduce
 from typing import Optional, Union
 
 import numpy as np
@@ -476,6 +476,50 @@ def _degree(node: Expr) -> Optional[int]:
     return 0 if d == 0 and node.func in ("sin", "cos", "f", "fp") else None
 
 
+def _grades(node: Expr) -> Optional[dict]:
+    """node read along rays, {d: a_d} with node(t, phi, r xi) = sum_d r^d a_d(t, phi, xi), or None.
+
+    A node with a degree d (_degree) is its own coefficient, {d: node}. Of
+    the others, '+' and '-' merge the maps of their operands, '*'
+    convolves them and '^n' convolves n copies; '/' by a node of degree e
+    shifts every grade by -e. Any other node with no degree has no grades.
+    """
+    d = _degree(node)
+    if d is not None:
+        return {d: node}
+    if isinstance(node, Neg):
+        g = _grades(node.operand)
+        return None if g is None else {k: _neg(a) for k, a in g.items()}
+    if isinstance(node, Pow):
+        g = _grades(node.base)
+        return None if g is None else reduce(_convolve, [g] * node.exponent, {0: _ONE})
+    if not isinstance(node, BinOp):
+        return None
+    a = _grades(node.left)
+    if node.op == "/":
+        e = _degree(node.right)
+        return None if a is None or e is None else {k - e: BinOp("/", c, node.right) for k, c in a.items()}
+    b = _grades(node.right)
+    if a is None or b is None:
+        return None
+    if node.op == "*":
+        return _convolve(a, b)
+    merge = _add if node.op == "+" else _sub
+    out = dict(a)
+    for k, c in b.items():
+        out[k] = merge(out.get(k, _ZERO), c)
+    return out
+
+
+def _convolve(a: dict, b: dict) -> dict:
+    """The grades of the product of two graded nodes."""
+    out = {}
+    for i, x in a.items():
+        for j, y in b.items():
+            out[i + j] = _add(out.get(i + j, _ZERO), _mul(x, y))
+    return out
+
+
 # -- moment maps ---------------------------------------------------------------
 
 
@@ -492,6 +536,9 @@ class MomentMap:
     partials gives exact partial derivatives of either slot, differentiated
     on the AST and compiled once, on first use, for all four variables.
     p1_degree is p1's degree of homogeneity in (xi_t, xi_phi), or None.
+    p1_grades reads a p1 with no degree along rays (_grades): the compiled
+    coefficient of each power of r, or None where p1 has a degree or no
+    such reading.
     """
 
     surface: ProfileFunction
@@ -520,6 +567,15 @@ class MomentMap:
     @cached_property
     def p1_degree(self) -> Optional[int]:
         return _degree(self.p1_expr)
+
+    @cached_property
+    def p1_grades(self) -> Optional[dict]:
+        """{d: compiled a_d} with p1(t, phi, r xi) = sum_d r^d a_d(t, phi, xi), or None.
+
+        Only a p1 with no degree is read, so a homogeneous one compiles nothing more.
+        """
+        grades = None if self.p1_degree is not None else _grades(self.p1_expr)
+        return None if grades is None else {d: compile_expr(a, self.surface) for d, a in grades.items()}
 
     def p1(self, t, phi, xi_t, xi_phi):
         return self._p1(t, phi, xi_t, xi_phi)

@@ -52,10 +52,10 @@ class TestFiberPoints:
             fiber_points(sphere_map, (0.0, 0.0), -1.0, 8)
 
     def test_parsed_kinetic_symbol_traces_same_shell(self, sphere):
-        # a p1 not homogeneous in xi is walked along the coframe rays
+        # a p1 not homogeneous in xi is read along the coframe rays
         # (cos sigma, f(t) sin sigma); on each ray it is the quadratic
-        # a r^2 + b r with a = cos^2 + 2 sin^2 and b = 0.1 sin(t) cos, so
-        # the walk must land on its positive root r = (sqrt(b^2 + 4a) - b) / 2a
+        # a r^2 + b r with a = cos^2 + 2 sin^2 and b = 0.1 sin(t) cos, whose
+        # one positive root at level 1 is r = (sqrt(b^2 + 4a) - b) / 2a
         parsed = moment_map_from_config(sphere, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", None)
         assert parsed.p1_degree is None
         pts = fiber_points(parsed, (0.4, 0.0), 1.0, 16)
@@ -77,7 +77,8 @@ class TestFiberPoints:
             assert abs(abs(xt) - 1.0) <= 1e-8
 
     def test_touching_level_set_found_by_tangential_search(self, sphere):
-        # (|xi|^2 - 1)^2 = 0 only touches zero; no sign change anywhere
+        # (|xi|^2 - 1)^2 = 0 only touches zero, a double root on every ray:
+        # the two roots it gives are one tangential touch, one point a ray
         m = moment_map_from_config(
             sphere, "(xi_t^2 + xi_phi^2 - 1)^2", None
         )
@@ -85,58 +86,6 @@ class TestFiberPoints:
         assert len(pts) == 8
         for xt, xp in pts:
             assert m.p1(0.0, 0.0, xt, xp) <= 1e-10
-
-
-def _bisect_one(g, lo, hi):
-    """Reference: the bisection of one ray, as a plain loop."""
-    g_lo = g(lo)
-    for _ in range(200):
-        mid = 0.5 * (lo + hi)
-        g_mid = g(mid)
-        if abs(g_mid) <= 1e-10:
-            return mid
-        if g_lo * g_mid < 0:
-            hi = mid
-        else:
-            lo, g_lo = mid, g_mid
-        if hi - lo < 1e-15 * max(1.0, hi):
-            break
-    r = 0.5 * (lo + hi)
-    return r if abs(g(r)) <= 1e-10 else np.nan
-
-
-class TestBisection:
-    @pytest.mark.parametrize(
-        "p1_text, placed",
-        [
-            ("xi_t^2 + xi_phi^2 / f(t)^2", True),
-            # so steep that one ulp of radius moves p1 by more than the
-            # tolerance: every bracket narrows to nothing, every ray is NaN
-            ("1e12 * (xi_t - 0.3) + xi_phi", False),
-            # a triple root, where |p1 - 1| is small on a wide interval
-            ("(xi_t - 0.5)^3 + 1", True),
-        ],
-    )
-    def test_all_rays_at_once_equal_the_ray_by_ray_loop(
-        self, perturbed, p1_text, placed
-    ):
-        m = moment_map_from_config(perturbed, p1_text, None)
-        rng = np.random.default_rng(3)
-        n = 64
-        t = rng.uniform(-0.8, 0.8, n)
-        sigma = rng.uniform(0.0, 2.0 * np.pi, n)
-        c, s = np.cos(sigma), perturbed.value(t) * np.sin(sigma)
-        rays = adm._Rays(m, 1.0, t, rng.uniform(0.0, 6.0, n), c, s)
-        lo, hi = rng.uniform(1e-3, 0.5, n), rng.uniform(0.5, 40.0, n)
-        got = adm._bisect(rays, lo.copy(), hi.copy())
-
-        def one_ray(j):
-            ray = rays[[j]]
-            return _bisect_one(lambda r: float(ray.residual(np.array([r]))[0]), lo[j], hi[j])
-
-        # NaN matches NaN here
-        np.testing.assert_array_equal(got, [one_ray(j) for j in range(n)])
-        assert bool(np.isfinite(got).any()) is placed
 
 
 class TestPrincipalType:
@@ -269,8 +218,8 @@ class TestCheckAdmissible:
     def test_walk_block_size_does_not_change_the_report(
         self, perturbed, monkeypatch
     ):
-        # the arc is walked in blocks of rows; one row per block is the
-        # plain per-tau walk, and the walk's seeds must chain across blocks
+        # the arc is sampled in blocks of rows; one row per block must give
+        # the same report
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
         parsed = moment_map_from_config(perturbed, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi")
         reports = []
@@ -288,16 +237,15 @@ class TestCheckAdmissible:
             ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", 1.0, False),
             # the two vertical rays never meet the level set
             ("xi_t^2", 1.0, False),
-            # a double root: Newton converges linearly, so every row's
-            # radius depends on the seed it was walked from
+            # a double root on every ray, one tangential touch
             ("(xi_t^2 + xi_phi^2 - 1)^2", 0.0, True),
         ],
     )
     def test_block_solve_equals_the_row_by_row_walk(
         self, perturbed, equator_arc, monkeypatch, p1_text, E1, on_equator
     ):
-        # one row per block is the plain per-tau walk, every ray seeded
-        # from the row before; solving whole blocks must give its bits
+        # one row per block is the plain per-tau sample; solving whole
+        # blocks must give its bits
         if on_equator:
             arc, profile = equator_arc, equator_arc.surface
         else:
@@ -311,25 +259,27 @@ class TestCheckAdmissible:
         assert reports[0] == reports[1]
         assert reports[0]["witness"] is not None
 
-    def test_block_solve_follows_the_first_of_two_roots(self, sphere, monkeypatch):
-        # each ray meets p1 = 0 where |xi| = 1 and where |xi| = 2; the walk
-        # stays on the first, while Newton seeded from the arc's first
-        # fiber, far up the arc, jumps to the second near t = 0
+    def test_both_circles_are_sampled(self, sphere, monkeypatch):
+        # each ray meets p1 = 0 where |xi| = 1 and where |xi| = 2: the two
+        # roots of the ray's quartic are its two columns, in that order
         arc = longitude_arc(sphere, (-0.8, 0.0), 0.0)
         m = moment_map_from_config(sphere, "(xi_t^2 + xi_phi^2 - 1)*(xi_t^2 + xi_phi^2 - 4)", "xi_phi")
         taus = np.linspace(*arc.param_range, 48)
-        reports, walks = [], []
+        reports, radii = [], []
         for block in (adm._BLOCK, 1):
             monkeypatch.setattr(adm, "_BLOCK", block)
             reports.append(check_admissible(m, arc, EnergyPair(0.0, 0.5), grid=(48, 48)).as_json())
             blocks = adm._arc_fibers(m, arc, 0.0, taus, adm._angles(48))
-            walks.append(np.concatenate([r for *_, r, _ in blocks]))
-        assert reports[0] == reports[1]
-        np.testing.assert_array_equal(walks[0], walks[1])
-        sigmas = adm._angles(48)
+            radii.append(np.concatenate([r for *_, r, _ in blocks]))
+        assert reports[0] == reports[1] and reports[0]["principal_type_ok"]
+        np.testing.assert_array_equal(radii[0], radii[1])
+        # four columns a ray, for the quartic's four roots; two are negative
+        roots = radii[0].reshape(48, 48, 4)
+        assert np.isnan(roots[..., 2:]).all()
         f = sphere.value(arc.point(taus)[0])[:, None]
-        first = 1.0 / np.hypot(np.cos(sigmas), f * np.sin(sigmas))
-        np.testing.assert_allclose(walks[0], first, rtol=1e-9)
+        first = 1.0 / np.hypot(np.cos(adm._angles(48)), f * np.sin(adm._angles(48)))
+        np.testing.assert_allclose(roots[..., 0], first, rtol=1e-12)
+        np.testing.assert_allclose(roots[..., 1], 2.0 * first, rtol=1e-12)
 
     @pytest.mark.parametrize("E1", [1.0, 2.0])
     @pytest.mark.parametrize(
@@ -349,26 +299,31 @@ class TestCheckAdmissible:
 
         assert outcome(plain) == outcome(with_xi)
 
-    def test_dsl_fibers_are_solved_a_block_at_a_time(self, perturbed):
-        # p1 sees whole blocks of rays, every row of a block in one call: a
-        # few calls per row at most, where a walk ray by ray makes hundreds
-        sizes = []
+    def test_dsl_fibers_are_solved_a_block_at_a_time(self, perturbed, monkeypatch):
+        # a ray polynomial's fibers come from its coefficients alone: each
+        # is evaluated once a block, on every ray of the block, and p1 never
+        sizes, p1_calls = {}, []
 
         class Counting(MomentMap):
-            def p1(self, t, phi, xi_t, xi_phi):
-                sizes.append(np.size(xi_t))
-                return MomentMap.p1(self, t, phi, xi_t, xi_phi)
+            def p1(self, *args):
+                p1_calls.append(args)
+                return MomentMap.p1(self, *args)
 
         parsed = moment_map_from_config(perturbed, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi")
         m = Counting(surface=perturbed, p1_expr=parsed.p1_expr, p2_expr=parsed.p2_expr)
+        grades = m.p1_grades
+        assert sorted(grades) == [1, 2]
+        for d, coefficient in list(grades.items()):
+            def counted(t, phi, xi_t, xi_phi, d=d, coefficient=coefficient):
+                sizes.setdefault(d, []).append(np.broadcast(t, xi_t, xi_phi).size)
+                return coefficient(t, phi, xi_t, xi_phi)
+
+            grades[d] = counted
+        monkeypatch.setattr(adm, "_BLOCK", 16 * 128)
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
         check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(128, 128))
-        # one block: the first row takes one scan, Newton and the canonical
-        # window searches; the other rows one pass from the first row, then
-        # rounds for the rays whose radius one row up is neither that seed
-        # nor where their Newton landed. 28 calls are made
-        assert len(sizes) <= (1 + 13 + 4) + (13 + 4)
-        assert max(sizes) >= 127 * 128
+        assert sizes == {1: [16 * 128] * 8, 2: [16 * 128] * 8}
+        assert not p1_calls
 
     def test_homogeneous_symbol_takes_one_p1_call_a_block(self, perturbed):
         # a p1 of degree d in xi has the closed-form radius, read off one
@@ -457,23 +412,27 @@ class TestCheckAdmissible:
 
 
 def _full_scan_report(map_, geod, energies, grid, threshold=None):
-    """Reference: the verdict from whole n_tau x n_fiber arrays, scanned row-major.
+    """Reference: the verdict from whole n_tau x (m n_fiber) arrays, scanned row-major.
 
-    The fibers and rates come from the same walk as check_admissible; only
-    the reduction differs.
+    The fibers and rates come from the same blocks as check_admissible,
+    root k of ray j in column j m + k; only the reduction differs.
     """
     n_tau, n_fiber = grid
     taus = np.linspace(*geod.param_range, n_tau)
     sigmas = adm._angles(n_fiber)
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
-    xt, xp = np.empty(grid), np.empty(grid)
-    p2_mid, deriv = np.empty(grid), np.empty(grid)
+    xt, xp, p2_mid, deriv = [], [], [], []
     principal_ok = True
     for rows, t, phi, xi_t, xi_phi, radii, coframe in adm._arc_fibers(map_, geod, energies.E1, taus, sigmas):
-        deriv[rows], ok = adm._rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
+        rate, ok = adm._rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
         principal_ok = principal_ok and ok
-        p2_mid[rows] = map_.p2(t[:, None], phi[:, None], xi_t, xi_phi)
-        t_m[rows], phi_m[rows], xt[rows], xp[rows] = t, phi, xi_t, xi_phi
+        deriv.append(rate)
+        p2_mid.append(np.broadcast_to(map_.p2(t[:, None], phi[:, None], xi_t, xi_phi), xi_t.shape))
+        t_m[rows], phi_m[rows] = t, phi
+        xt.append(xi_t)
+        xp.append(xi_phi)
+    xt, xp, p2_mid, deriv = (np.concatenate(a) for a in (xt, xp, p2_mid, deriv))
+    m = xt.shape[1] // n_fiber  # root columns a ray
     scale = float(np.nanmax(np.abs(p2_mid)))
     if energies.epsilon is not None:
         eps = float(energies.epsilon)
@@ -490,7 +449,7 @@ def _full_scan_report(map_, geod, energies, grid, threshold=None):
         min_der = float(absd[i, j])
         witness = {
             "tau": float(taus[i]),
-            "sigma": float(sigmas[j]),
+            "sigma": float(sigmas[j // m]),
             "t": float(t_m[i]),
             "phi": float(phi_m[i]),
             "xi_t": float(xt[i, j]),
@@ -533,8 +492,16 @@ def _oracle_cases():
         ("constant-p2-fallback", "perturbed", (None, "1"), straddle, 1.0, 1.0, None),
         ("rays-miss", "perturbed", ("xi_t^2", "xi_phi"), straddle, 1.0, 0.3, None),
         ("rays-miss-empty", "perturbed", ("xi_t^2", "xi_phi"), straddle, 1.0, 9.0, None),
-        # a p1 not homogeneous in xi, walked from row to row
-        ("walk", "perturbed", ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi"), straddle, 1.1, 0.3, None),
+        # a p1 not homogeneous in xi, one positive root of a quadratic a ray
+        ("ray-polynomial", "perturbed", ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi"), straddle, 1.1, 0.3,
+         None),
+        # an ellipse off xi = 0: a ray meets it twice or not at all, and the
+        # band holds far roots only
+        ("shifted-ellipse", "sphere", ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_t + 0.1*t"), ("longitude", (0.3, 0.8), 0.0),
+         1.0, 2.5, None),
+        # two circles, two roots on every ray
+        ("two-circles", "sphere", ("(xi_t^2 + xi_phi^2 - 1)*(xi_t^2 + xi_phi^2 - 4)", "xi_phi"),
+         ("longitude", (-0.8, 0.0), 0.0), 0.0, 0.5, None),
         ("empty-band", "sphere", (None, None), straddle, 1.0, 5.0, None),
         ("equator-ties", "sphere", (None, None), ("latitude", (0.0, np.pi / 3)), 1.0, 0.0, None),
         ("equator-ties-dsl", "sphere", (BUILTIN_P1_TEXT, BUILTIN_P2_TEXT), ("latitude", (0.5, 2.0)), 1.2, 0.3, None),
@@ -636,44 +603,7 @@ class TestStreamedVerdict:
         assert head.epsilon < abs(full.witness["p2"] - 0.03) < full.epsilon
 
 
-def _dsl_block(profile, geod, n_tau, n_fiber, E1, p1_text=BUILTIN_P1_TEXT):
-    """The rays of the fibers over geod at n_tau rows, for p1_text (the builtin p1 by default)."""
-    m = moment_map_from_config(profile, p1_text, None)
-    t, phi = geod.point(np.linspace(*geod.param_range, n_tau))
-    sigmas = adm._angles(n_fiber)
-    f = profile.value(t)[:, None]
-    shape = (n_tau, n_fiber)
-    return adm._Rays(m, E1, t[:, None], phi[:, None], np.broadcast_to(np.cos(sigmas), shape), f * np.sin(sigmas))
-
-
 class TestClosedFormRadius:
-    @pytest.mark.parametrize(
-        "p1_text, degree",
-        [
-            ("sqrt(xi_t^2 + xi_phi^2 / f(t)^2)", 1),
-            ("abs(xi_t) + abs(xi_phi)", 1),
-            # rays with cos(sigma) <= 0 never reach E1 > 0
-            ("xi_t", 1),
-            (BUILTIN_P1_TEXT, 2),
-            ("(1 + t^2) * (xi_t^2 + xi_phi^2 / f(t)^2)", 2),
-            # the vertical rays reach E1 only beyond the scan
-            ("xi_t^2", 2),
-            ("(xi_t^2 + xi_phi^2 / f(t)^2)^2", 4),
-        ],
-    )
-    def test_closed_form_equals_the_walk(self, perturbed, p1_text, degree):
-        # p1(x, r w) = r^d p1(x, w): the closed form finds the radius the
-        # walk root-finds on the same rays, and misses the rays it misses
-        geod = longitude_arc(perturbed, (0.3, 0.8), 0.4)
-        rays = _dsl_block(perturbed, geod, 24, 64, 1.3, p1_text)
-        assert rays.map_.p1_degree == degree
-        t, phi = geod.point(np.linspace(*geod.param_range, 24))
-        closed = adm._fibers(rays.map_, t, phi, 1.3, adm._angles(64))[2]
-        walk = adm._walk(rays, None)
-        # NaN matches NaN here, at the same rays
-        np.testing.assert_allclose(closed, walk, rtol=1e-14)
-        assert bool(np.isnan(walk).any()) is (p1_text in ("xi_t", "xi_t^2"))
-
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
     def test_builtin_and_text_spellings_give_one_report(self, request, case):
         _, profile_name, symbols, arc, E1, E2, epsilon = case
@@ -709,85 +639,127 @@ class TestClosedFormRadius:
             assert fiber_points(text, (0.4, 1.0), 0.0, 8) == [(0.0, 0.0)] * 8
 
 
-class TestCanonicalRadius:
-    @pytest.mark.parametrize("seed", [3, 5, 11])
-    @pytest.mark.parametrize("kind", ["longitude", "latitude"])
-    def test_certified_radius_does_not_depend_on_the_seed(self, perturbed, sphere, seed, kind):
-        # verdicts-style DSL arcs: the walk is _solve from the row above,
-        # and every certified ray (at rest on a sign change) gives the same
-        # bits solved from the previous block's last row and from the scan
-        rng = np.random.default_rng(seed)
-        profile = (sphere, perturbed)[seed % 2]
-        E1 = float(rng.uniform(0.8, 1.25))
-        if kind == "latitude":
-            alpha = float(rng.uniform(0.0, 6.0))
-            geod = latitude_arc(profile, (alpha, alpha + float(rng.uniform(0.5, 2.0))))
+def _np_roots(map_, t, phi, E1, sigmas):
+    """Reference: the positive roots of p1 = E1 on each ray, np.roots one ray at a time.
+
+    A ray's coefficients are p1's grades on its unit ray, or r^d p1(unit
+    ray) for a p1 of degree d; a leading coefficient below 1e-30 of the
+    largest is taken as 0, since np.roots' companion matrix cannot be
+    balanced there (cos(pi/2) rounds to 6e-17, and xi_t^4 to 1e-65 on that
+    ray). Real parts of roots within 1e-4 of the real axis are read, each
+    polished by Newton until it stops moving (at most 50 steps), and a
+    cluster of them within 1e-4 relative is one multiple root, read at its
+    least member.
+    """
+    f = map_.surface.value(t)
+    out = []
+    for sigma in sigmas:
+        c, s = np.cos(sigma), f * np.sin(sigma)
+        if map_.p1_degree is None:
+            grades = {d: float(a(t, phi, c, s)) for d, a in map_.p1_grades.items()}
         else:
-            a = profile.t0 + float(rng.uniform(0.15, 0.35))
-            geod = longitude_arc(profile, (a, min(a + 0.4, 0.85)), float(rng.uniform(0.0, 6.0)))
-        rays = _dsl_block(profile, geod, 48, 96, E1)
-        walk = adm._walk(rays, None)
-        rest = rays[1:]
-        from_above = np.concatenate([adm._solve(rays[[i]], walk[[i - 1]])[0] for i in range(1, 48)])
-        np.testing.assert_array_equal(from_above, walk[1:])
-        step, _, crossed, _ = adm._least(rest, walk[1:])
-        certified = (step == 0) & crossed
-        assert certified.mean() > 0.99
-        from_block, _ = adm._solve(rest, np.broadcast_to(walk[0], rest.s.shape))
-        from_scan, _ = adm._solve(rest, np.full(rest.s.shape, np.nan))
-        for radii in (from_block, from_scan):
-            np.testing.assert_array_equal(radii[certified], walk[1:][certified])
+            grades = {map_.p1_degree: float(map_.p1(t, phi, c, s))}
+        coefs = np.zeros(max(grades) + 1)
+        for d, a in grades.items():
+            coefs[d] = a
+        coefs[0] -= E1
+        while abs(coefs[-1]) < 1e-30 * np.abs(coefs).max():
+            coefs = coefs[:-1]
+        z = np.roots(coefs[::-1])
+        real = z.real[np.abs(z.imag) <= 1e-4 * np.maximum(1.0, np.abs(z))]
+        poly = np.polynomial.Polynomial(coefs)
+        slope = poly.deriv()
+        for _ in range(50):
+            with np.errstate(divide="ignore", invalid="ignore"):
+                step = np.where(slope(real) != 0.0, poly(real) / slope(real), 0.0)
+            if not np.any(step):
+                break
+            real = real - step
+        real = np.sort(real)
+        real = real[(real > 0.0) & (real <= 1e3)]
+        roots = []
+        for r in real:
+            if not roots or r - roots[-1] > 1e-4 * r:
+                roots.append(r)
+        out.append(roots)
+    return out
 
-    def test_canonical_float_has_the_least_residual_near_it(self, perturbed):
-        # a canonical radius sits at the least |p1 - E1| of its own window,
-        # and p1 - E1 changes sign within it
-        geod = longitude_arc(perturbed, (0.3, 0.8), 0.4)
-        rays = _dsl_block(perturbed, geod, 8, 64, 1.1)
-        radii, _ = adm._solve(rays, np.full(rays.s.shape, np.nan))
-        step, best, crossed, level = adm._least(rays, radii)
-        assert (step == 0).all() and crossed.all() and not level.any()
-        np.testing.assert_array_equal(best, radii)
-        # _canonical leaves its own results where they are
-        np.testing.assert_array_equal(adm._canonical(rays, radii), radii)
 
-    def test_rows_of_rays_step_as_the_rays_alone(self, perturbed):
-        # a block evaluates f(t) once a row, and steps whole rows while any
-        # ray is stepping; every ray still lands where it lands alone
-        geod = longitude_arc(perturbed, (0.3, 0.8), 0.4)
-        m = moment_map_from_config(perturbed, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi")
-        t, phi = geod.point(np.linspace(0.3, 0.8, 12))
-        sigmas = adm._angles(40)
-        shape = (12, 40)
-        rays = adm._Rays(m, 1.3, t[:, None], phi[:, None], np.broadcast_to(np.cos(sigmas), shape),
-                         perturbed.value(t)[:, None] * np.sin(sigmas))
-        seed = np.random.default_rng(5).uniform(0.2, 3.0, shape)
-        seed[3, ::7] = np.nan
-        flat = rays.flat(np.arange(seed.size))
-        assert np.shape(flat.t) == (seed.size,)
-        by_rows, landed = adm._newton(rays, seed)
-        by_rays, landed_alone = adm._newton(flat, seed.ravel())
-        np.testing.assert_array_equal(by_rows, by_rays.reshape(shape))
-        np.testing.assert_array_equal(landed, landed_alone.reshape(shape))
-        assert np.isfinite(by_rows).mean() > 0.9
-        # from where a ray landed, Newton lands there again
-        again, landed_again = adm._newton(rays, np.where(landed, by_rows, np.nan))
-        np.testing.assert_array_equal(again[landed], by_rows[landed])
-        assert landed_again[landed].all() and landed.mean() > 0.9
+class TestRayRoots:
+    @pytest.mark.parametrize(
+        "p1_text, E1, rtol",
+        [
+            # degrees 1 to 4; a factor t - 0.5 makes the leading coefficient
+            # exactly 0 on the row t = 0.5 (at degree 1, on its ray sigma = 0)
+            ("(t - 0.5) * xi_t + 0.3 * xi_phi + 1", 2.0, 1e-14),
+            ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", 1.3, 1e-14),
+            # the ray sigma = pi/6 touches this ellipse: a double root
+            ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", 1.0, 1e-7),
+            ("(t - 0.5) * xi_t^2 + xi_t + xi_phi", 0.5, 1e-14),
+            ("(xi_t^2 + xi_phi^2/f(t)^2 - 1) * (xi_t - 3) + t*xi_phi", 0.1, 1e-13),
+            ("(t - 0.5) * xi_t^3 + xi_t^2 + xi_phi^2 / f(t)^2 - xi_t", 0.5, 1e-13),
+            ("(xi_t^2 + xi_phi^2 - 1)*(xi_t^2 + xi_phi^2 - 4)", 0.0, 1e-13),
+            ("(t - 0.5) * xi_t^4 + xi_t^2 + xi_phi^2/f(t)^2 - 0.3*xi_t", 1.0, 1e-13),
+            # circles of radius 100 and 200, where p1's terms reach 1e9 and
+            # rounding alone leaves |p1 - E1| far above 1e-10
+            ("(xi_t^2 + xi_phi^2/f(t)^2 - 1e4)*(xi_t^2 + xi_phi^2/f(t)^2 - 4e4)", 0.0, 1e-13),
+            # a double and a triple root: one point each
+            ("(xi_t^2 + xi_phi^2 - 1)^2", 0.0, 1e-7),
+            ("(xi_t - 0.5)^3 + 1", 1.0, 1e-4),
+            # homogeneous: the closed form
+            (BUILTIN_P1_TEXT, 1.3, 1e-14),
+            ("xi_t^3", 0.7, 1e-14),
+            ("(xi_t^2 + xi_phi^2 / f(t)^2)^2", 2.0, 1e-14),
+        ],
+    )
+    def test_roots_equal_np_roots_ray_by_ray(self, perturbed, p1_text, E1, rtol):
+        m = moment_map_from_config(perturbed, p1_text, None)
+        ts, phis = np.array([-0.3, 0.1, 0.5, 0.7]), np.array([0.2, 1.0, 2.0, 3.0])
+        sigmas = adm._angles(24)
+        _, _, radii, _ = adm._fibers(m, ts, phis, E1, sigmas)
+        radii = radii.reshape(len(ts), len(sigmas), -1)
+        for i, (t, phi) in enumerate(zip(ts, phis)):
+            for j, expect in enumerate(_np_roots(m, t, phi, E1, sigmas)):
+                got = radii[i, j]
+                # ascending, NaN-padded
+                assert np.isnan(got[len(expect):]).all()
+                np.testing.assert_allclose(got[: len(expect)], expect, rtol=rtol)
+                # on the level set of p1 itself, evaluated at the point, to
+                # within rounding of terms of size up to r^4
+                for r in got[: len(expect)]:
+                    c, s = np.cos(sigmas[j]), perturbed.value(t) * np.sin(sigmas[j])
+                    assert abs(m.p1(t, phi, r * c, r * s) - E1) <= 1e-9 * max(1.0, r) ** 4
 
-    def test_multiple_root_is_not_certified(self, sphere):
-        # (|xi|^2 - 1)^2 = 0 has a double root, which Newton nears only
-        # linearly: no radius comes to rest with a sign change, so none
-        # moves from where Newton left it
-        m = moment_map_from_config(sphere, "(xi_t^2 + xi_phi^2 - 1)^2", None)
-        sigmas = adm._angles(16)
-        rays = adm._Rays(m, 0.0, np.zeros((1, 1)), np.zeros((1, 1)), np.cos(sigmas)[None], np.sin(sigmas)[None])
-        seed = np.full((1, 16), 1.0001)
-        by_newton, _ = adm._newton(rays, seed)
-        assert np.isfinite(by_newton).all()
-        np.testing.assert_array_equal(adm._solve(rays, seed)[0], by_newton)
-        # at r = 1, |p1 - E1| is least on most rays but positive; only an
-        # exact root, where it is 0, moves to a float at rest
-        radii = adm._canonical(rays, np.ones((1, 16)))
-        exact = rays.residual(radii) == 0.0
-        assert exact.any() and not exact.all()
-        np.testing.assert_array_equal(radii[~exact], 1.0)
+    @pytest.mark.parametrize("n_tau", [64, 65, 128, 129])
+    def test_shifted_ellipse_is_admissible(self, sphere, n_tau):
+        # the ellipse (xi_t - 2)^2 + xi_phi^2 / f^2 = 1 does not enclose
+        # xi = 0; its band sits on the far roots, where d p2 / d tau = 0.1
+        arc = longitude_arc(sphere, (0.3, 0.8), 0.0)
+        m = moment_map_from_config(sphere, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_t + 0.1*t")
+        rep = check_admissible(m, arc, EnergyPair(1.0, 2.5), grid=(n_tau, 128))
+        assert rep.verdict == "admissible"
+        assert rep.min_derivative == pytest.approx(0.1, rel=1e-12)
+        w = rep.witness
+        # the witness is the far root of its ray
+        c = np.cos(w["sigma"])
+        assert w["xi_t"] == pytest.approx((2 * c + np.sqrt(4 * c * c - 3)) * c, rel=1e-12)
+
+    @pytest.mark.parametrize("p1_text", ["sin(xi_t)", "sqrt(xi_t^2 + 1)", "xi_t^5 + xi_t", "xi_t + 1/xi_t", "1 / xi_t"])
+    def test_other_symbols_are_refused_before_any_fiber(self, sphere, p1_text):
+        calls = []
+
+        class Counting(MomentMap):
+            def p1(self, *args):
+                calls.append(args)
+                return MomentMap.p1(self, *args)
+
+        m = Counting(surface=sphere, p1_expr=moment_map_from_config(sphere, p1_text, None).p1_expr)
+        arc = longitude_arc(sphere, (0.3, 0.8), 0.0)
+        for check in (
+            lambda: check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(32, 32)),
+            lambda: check_principal_type(m, arc, 1.0, grid=(32, 32)),
+        ):
+            with pytest.raises(ValueError, match="homogeneous of a positive degree") as exc:
+                check()
+            assert not isinstance(exc.value, FiberError)
+        assert not calls

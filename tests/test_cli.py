@@ -94,7 +94,8 @@ class TestAdmissibleCommand:
                 "xi_t^2 + xi_phi^2 / (xi_t - xi_t)",
                 "division by zero in 'xi_phi^2 / (xi_t - xi_t)'",
             ),
-            ("xi_t^2 + sqrt(xi_phi - 10)", "sqrt of negative value in 'sqrt(xi_phi - 10)'"),
+            # a ray polynomial whose coefficient of xi_phi fails
+            ("xi_t^2 + sqrt(t - 10) * xi_phi", "sqrt of negative value in 'sqrt(t - 10)'"),
         ],
     )
     def test_domain_error_is_a_config_error(self, tmp_path, capsys, p1, error):
@@ -127,6 +128,21 @@ class TestAdmissibleCommand:
         assert captured.err.splitlines() == [
             f"error: number 1e999 overflows to infinity (offset {offset})"
         ]
+
+    @pytest.mark.parametrize("p1", ["sin(xi_t)", "sqrt(xi_t^2 + 1)", "xi_t^5 + xi_t", "xi_t + 1/xi_t"])
+    def test_unsupported_symbol_is_a_config_error(self, tmp_path, capsys, p1):
+        # neither homogeneous in xi nor a polynomial of degree <= 4 along rays
+        payload = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]},
+            {"E1": 1.0, "E2": 0.5},
+        )
+        payload["p1"] = p1
+        cfg = write_config(tmp_path, "unsupported.json", payload)
+        assert cli.main(["admissible", "--config", cfg]) == 2
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: p1 must be homogeneous of a positive degree")
 
     def test_symbol_without_xi_exits_empty_fiber(self, tmp_path, capsys):
         payload = admissible_config(

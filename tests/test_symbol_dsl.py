@@ -20,7 +20,7 @@ from qcilab import (
     moment_map_from_config,
     parse_expr,
 )
-from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _degree, _diff
+from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _degree, _diff, _grades
 
 
 def ev(text, profile=None, **env):
@@ -314,6 +314,57 @@ class TestDegree:
         p = compile_expr(parse_expr(text), perturbed)
         for r in (0.3, 2.0, 7.0):
             np.testing.assert_allclose(p(t, phi, r * xt, r * xp), r**d * p(t, phi, xt, xp), rtol=1e-13)
+
+
+class TestGrades:
+    @pytest.mark.parametrize(
+        "text, grades",
+        [
+            (BUILTIN_P1_TEXT, [2]),
+            ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", [1, 2]),
+            ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", [0, 1, 2]),
+            (f"({BUILTIN_P1_TEXT} - 1)^2", [0, 2, 4]),
+            ("-(xi_t + t)^3 - 1", [0, 1, 2, 3]),
+            ("(xi_t + 1)^0", [0]),
+            ("(xi_t^2 + 1) / xi_t", [-1, 1]),
+            ("xi_t + 1/xi_t", [-1, 1]),
+            ("xi_t^5 + xi_t", [1, 5]),
+            ("sin(xi_t)", None),
+            ("sqrt(xi_t^2 + 1)", None),
+            ("1 / (xi_t + 1)", None),
+            ("cos(xi_t + 1) * xi_t", None),
+        ],
+    )
+    def test_grades_of_a_symbol(self, text, grades):
+        got = _grades(parse_expr(text))
+        assert (None if got is None else sorted(got)) == grades
+
+    @pytest.mark.parametrize(
+        "text",
+        [
+            "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t",
+            f"({BUILTIN_P1_TEXT} - 1)*({BUILTIN_P1_TEXT} - 4)",
+            "-(xi_t - phi * xi_phi + t)^3 / (2 + t^2) - abs(xi_phi) * (xi_t + 1)",
+            "(xi_t^2 + 1) / xi_t - xi_phi",
+        ],
+    )
+    def test_grades_are_the_coefficients_along_rays(self, perturbed, text):
+        # p(t, phi, r xi) = sum_d r^d a_d(t, phi, xi) for r > 0
+        node = parse_expr(text)
+        p = compile_expr(node, perturbed)
+        grades = {d: compile_expr(a, perturbed) for d, a in _grades(node).items()}
+        rng = np.random.default_rng(7)
+        t, phi, xt, xp = rng.uniform(-0.8, 0.8, 50), rng.uniform(0.0, 6.0, 50), *rng.uniform(0.1, 2.0, (2, 50))
+        for r in (0.3, 2.0, 7.0):
+            series = sum(r**d * a(t, phi, xt, xp) for d, a in grades.items())
+            np.testing.assert_allclose(p(t, phi, r * xt, r * xp), series, rtol=1e-12)
+
+    def test_only_a_p1_with_no_degree_compiles_grades(self, sphere):
+        assert moment_map_from_config(sphere, None, None).p1_grades is None
+        assert moment_map_from_config(sphere, "sin(xi_t)", None).p1_grades is None
+        m = moment_map_from_config(sphere, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", None)
+        assert sorted(m.p1_grades) == [0, 1, 2]
+        assert m.p1_grades[0](t=0.5) == 4.0
 
 
 class TestDerivatives:
