@@ -33,9 +33,11 @@ p1 = E1 on it is taken in closed form:
   m roots, ascending and padded with NaN, and the root axis is folded
   into the fiber axis, so every later step sees one 2-D block.
 * A p1 of degree 0 is constant along each ray, so no ray meets its
-  level set. Any other p1 is refused with ValueError.
+  level set in a point. Any other p1 is refused with ValueError.
 
-No radius beyond _MAX_RADIUS is kept.
+No radius beyond _MAX_RADIUS is kept. A ray polynomial whose level set
+reaches past it (_fibers) raises FiberError: a band or threshold read off
+the sample would be set by that cutoff, not by the symbol.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: as the blocks pass, it keeps the p2 range and the frontier of
@@ -74,7 +76,7 @@ _XI = ("xi_t", "xi_phi")
 
 
 class FiberError(ValueError):
-    """No fiber point found: the level set p1 = E1 misses every ray."""
+    """The level set p1 = E1 misses every ray of a fiber, or reaches _MAX_RADIUS."""
 
 
 @dataclass(frozen=True)
@@ -141,9 +143,10 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
     block; a ray misses where that is not a float in [0, _MAX_RADIUS]. A
     ray polynomial has m its top degree: its coefficients are evaluated
     once a block, on the unit rays, and each ray takes its roots (_roots).
-    A p1 of degree 0 misses on every ray. Any other p1 raises ValueError. A
-    row whose rays all miss raises FiberError, so every row holds a finite
-    point.
+    Its level set reaches past _MAX_RADIUS, which raises FiberError, where
+    a ray has a root beyond it or p1 - E1 on that circle changes sign along
+    a row. A p1 of degree 0 is a ray polynomial with no root. Any other p1
+    raises ValueError. A row whose rays all miss raises FiberError.
     """
     d = map_.p1_degree
     closed = d is not None and d > 0
@@ -168,8 +171,12 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
         for k, coefficient in grades.items():
             a[k] = coefficient(ts[:, None], phis[:, None], cs, s)
         a[0] -= E1
+        a = a.reshape(len(a), -1)
         with np.errstate(all="ignore"):
-            roots = _roots(a.reshape(len(a), -1))
+            far = np.sign(_horner(a, np.full((a.shape[1], 1), _MAX_RADIUS))).reshape(shape)
+            roots = _roots(a)
+        if (np.abs(far.sum(axis=1)) < shape[1]).any() or (roots > _MAX_RADIUS).any():
+            raise FiberError(f"unbounded fiber: level set p1 = {E1} reaches radius {_MAX_RADIUS:g}")
         radii = roots.reshape(len(ts), -1)
         cs, sn, s = (np.repeat(x, roots.shape[1], axis=-1) for x in (cs, sn, s))
     if not np.isfinite(radii).any(axis=1).all():
@@ -180,17 +187,16 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
 
 
 def _roots(a):
-    """The roots in (0, _MAX_RADIUS] of sum_d a[d] r^d, one polynomial a column of a.
+    """The positive roots of sum_d a[d] r^d, one polynomial a column of a.
 
     Returns (columns, max(m, 1)) for m = len(a) - 1, rows ascending and
     NaN-padded. A column is solved at its own degree (_candidates), that of
     its top term whose size at _MAX_RADIUS exceeds eps times every lower
     term's: a term left out changes p by at most eps of its terms' size on
     (0, _MAX_RADIUS], and the companion matrices stay balanced (as where
-    cos(sigma) rounds to 6e-17). Each candidate takes one Newton step where
-    that lowers |p|, and is kept on the level set (_on_level). Neighbouring
-    roots whose midpoint is on it too are one tangential touch: the first
-    is kept.
+    cos(sigma) rounds to 6e-17). A candidate is kept on the level set
+    (_on_level); neighbouring roots whose midpoint is on it too are one
+    tangential touch, and the first is kept.
     """
     m = len(a) - 1
     roots = np.full((a.shape[1], max(m, 1)), np.nan)
@@ -201,12 +207,7 @@ def _roots(a):
         cols = np.flatnonzero(top == k)
         if cols.size:
             roots[cols, :k] = _candidates(a[: k + 1, cols])
-    p, dp = _horner(a, roots)
-    step = roots - p / dp
-    p_step, _ = _horner(a, step)
-    better = np.abs(p_step) < np.abs(p)
-    roots = np.where(better, step, roots)
-    roots[~(_on_level(a, roots) & (roots > 0.0) & (roots <= _MAX_RADIUS))] = np.nan
+    roots[~(_on_level(a, roots) & (roots > 0.0))] = np.nan
     roots.sort(axis=1)  # NaN last
     touch = _on_level(a, 0.5 * (roots[:, :-1] + roots[:, 1:]))
     if touch.any():
@@ -246,18 +247,15 @@ def _on_level(a, r):
 
     Relative to the size of p's terms, so that rounding loses no large root.
     """
-    p, _ = _horner(a, r)
-    size, _ = _horner(np.abs(a), np.abs(r))
-    return np.abs(p) <= _FIBER_TOL * np.maximum(1.0, size)
+    return np.abs(_horner(a, r)) <= _FIBER_TOL * np.maximum(1.0, _horner(np.abs(a), np.abs(r)))
 
 
 def _horner(a, r):
-    """(p, dp/dr) at r, for p = sum_d a[d] r^d with a's columns along r's rows."""
-    p, dp = np.zeros(r.shape), np.zeros(r.shape)
+    """p at r, for p = sum_d a[d] r^d with a's columns along r's rows."""
+    p = np.zeros(r.shape)
     for ad in a[::-1]:
-        dp = dp * r + p
         p = p * r + ad[:, None]
-    return p, dp
+    return p
 
 
 def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):

@@ -364,6 +364,7 @@ def _compile(node: Expr, profile: ProfileFunction):
 # -- differentiation ----------------------------------------------------------
 
 _ZERO, _ONE = Num(0.0), Num(1.0)
+_MAX_SPAN = 4  # the widest grade map _grades builds: ray polynomials of degree <= 4
 
 
 def _is(node: Expr, value: float) -> bool:
@@ -450,9 +451,10 @@ def _degree(node: Expr) -> Optional[int]:
     """The d with node(t, phi, r xi) = r^d node(t, phi, xi) for all r > 0, or None.
 
     xi_t and xi_phi have degree 1; constants, t and phi 0. '*' adds degrees,
-    '/' subtracts them, '^n' multiplies by n; '+' and '-' need equal ones;
-    abs keeps the degree, sqrt halves an even one; sin, cos, f and fp need
-    degree 0. Anything else has no degree.
+    '/' subtracts them, '^n' multiplies by n, and '^0' has degree 0 whatever
+    its base; '+' and '-' need equal ones; abs keeps the degree, sqrt halves
+    an even one; sin, cos, f and fp need degree 0. Anything else has no
+    degree.
     """
     if isinstance(node, Num):
         return 0
@@ -462,7 +464,7 @@ def _degree(node: Expr) -> Optional[int]:
         return _degree(node.operand)
     if isinstance(node, Pow):
         d = _degree(node.base)
-        return None if d is None else d * node.exponent
+        return 0 if node.exponent == 0 else None if d is None else d * node.exponent
     if isinstance(node, BinOp):
         a, b = _degree(node.left), _degree(node.right)
         if a is None or b is None or (node.op in "+-" and a != b):
@@ -482,7 +484,10 @@ def _grades(node: Expr) -> Optional[dict]:
     A node with a degree d (_degree) is its own coefficient, {d: node}. Of
     the others, '+' and '-' merge the maps of their operands, '*'
     convolves them and '^n' convolves n copies; '/' by a node of degree e
-    shifts every grade by -e. Any other node with no degree has no grades.
+    shifts every grade by -e. Any other node with no degree has no grades,
+    nor has one whose grades span more than _MAX_SPAN. No operation narrows
+    a map, so none wider is built: a node with no degree spans at least 1,
+    so '^n' convolves at most _MAX_SPAN copies.
     """
     d = _degree(node)
     if d is not None:
@@ -492,7 +497,9 @@ def _grades(node: Expr) -> Optional[dict]:
         return None if g is None else {k: _neg(a) for k, a in g.items()}
     if isinstance(node, Pow):
         g = _grades(node.base)
-        return None if g is None else reduce(_convolve, [g] * node.exponent, {0: _ONE})
+        if g is None or (max(g) - min(g)) * node.exponent > _MAX_SPAN:
+            return None
+        return reduce(_convolve, [g] * node.exponent)
     if not isinstance(node, BinOp):
         return None
     a = _grades(node.left)
@@ -503,12 +510,13 @@ def _grades(node: Expr) -> Optional[dict]:
     if a is None or b is None:
         return None
     if node.op == "*":
-        return _convolve(a, b)
-    merge = _add if node.op == "+" else _sub
-    out = dict(a)
-    for k, c in b.items():
-        out[k] = merge(out.get(k, _ZERO), c)
-    return out
+        out = _convolve(a, b)
+    else:
+        merge = _add if node.op == "+" else _sub
+        out = dict(a)
+        for k, c in b.items():
+            out[k] = merge(out.get(k, _ZERO), c)
+    return out if max(out) - min(out) <= _MAX_SPAN else None
 
 
 def _convolve(a: dict, b: dict) -> dict:

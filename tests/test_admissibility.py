@@ -1,5 +1,7 @@
 """Energy-shell fibers and the arc admissibility verdict."""
 
+import re
+
 import numpy as np
 import pytest
 
@@ -685,6 +687,18 @@ def _np_roots(map_, t, phi, E1, sigmas):
     return out
 
 
+# ray polynomials whose level set reaches r = 1e3: _fibers refuses them,
+# so their rays are solved by _roots alone, on the coefficients _fibers reads
+_UNBOUNDED = {
+    "(t - 0.5) * xi_t + 0.3 * xi_phi + 1",
+    "(t - 0.5) * xi_t^2 + xi_t + xi_phi",
+    "(xi_t^2 + xi_phi^2/f(t)^2 - 1) * (xi_t - 3) + t*xi_phi",
+    "(t - 0.5) * xi_t^3 + xi_t^2 + xi_phi^2 / f(t)^2 - xi_t",
+    "(t - 0.5) * xi_t^4 + xi_t^2 + xi_phi^2/f(t)^2 - 0.3*xi_t",
+    "(xi_t - 0.5)^3 + 1",
+}
+
+
 class TestRayRoots:
     @pytest.mark.parametrize(
         "p1_text, E1, rtol",
@@ -716,7 +730,21 @@ class TestRayRoots:
         m = moment_map_from_config(perturbed, p1_text, None)
         ts, phis = np.array([-0.3, 0.1, 0.5, 0.7]), np.array([0.2, 1.0, 2.0, 3.0])
         sigmas = adm._angles(24)
-        _, _, radii, _ = adm._fibers(m, ts, phis, E1, sigmas)
+        if p1_text in _UNBOUNDED:
+            with pytest.raises(FiberError, match="unbounded fiber"):
+                adm._fibers(m, ts, phis, E1, sigmas)
+            c, s = np.cos(sigmas), perturbed.value(ts)[:, None] * np.sin(sigmas)
+            a = np.zeros((max(m.p1_grades) + 1, len(ts), len(sigmas)))
+            for d, coefficient in m.p1_grades.items():
+                a[d] = coefficient(ts[:, None], phis[:, None], c, s)
+            a[0] -= E1
+            with np.errstate(all="ignore"):
+                radii = adm._roots(a.reshape(len(a), -1))
+            # the oracle reads roots up to 1e3
+            radii[radii > 1e3] = np.nan
+            radii.sort(axis=1)
+        else:
+            _, _, radii, _ = adm._fibers(m, ts, phis, E1, sigmas)
         radii = radii.reshape(len(ts), len(sigmas), -1)
         for i, (t, phi) in enumerate(zip(ts, phis)):
             for j, expect in enumerate(_np_roots(m, t, phi, E1, sigmas)):
@@ -743,6 +771,28 @@ class TestRayRoots:
         # the witness is the far root of its ray
         c = np.cos(w["sigma"])
         assert w["xi_t"] == pytest.approx((2 * c + np.sqrt(4 * c * c - 3)) * c, rel=1e-12)
+
+    @pytest.mark.parametrize("n_fiber", [33, 128, 129])
+    @pytest.mark.parametrize(
+        "p1_text, E1",
+        # an odd top degree, a line, and two circles of which
+        # the larger lies beyond r = 1e3
+        [
+            ("xi_t^3 + xi_phi^2 + 0.1", 1.0),
+            ("xi_t + 2 * xi_phi + 1", 2.0),
+            ("(xi_t^2 + xi_phi^2/f(t)^2 - 1) * (xi_t^2 + xi_phi^2/f(t)^2 - 4e6)", 0.0),
+        ],
+    )
+    def test_fiber_reaching_the_cutoff_is_refused(self, sphere, p1_text, E1, n_fiber):
+        # a band and threshold read off the sample inside r = 1e3 would be
+        # set by that cutoff, not by the symbol
+        m = moment_map_from_config(sphere, p1_text, "xi_phi")
+        arc = longitude_arc(sphere, (0.3, 0.8), 0.0)
+        msg = f"unbounded fiber: level set p1 = {E1} reaches radius 1000"
+        with pytest.raises(FiberError, match=re.escape(msg)):
+            check_admissible(m, arc, EnergyPair(E1, 0.5), grid=(32, n_fiber))
+        with pytest.raises(FiberError, match=re.escape(msg)):
+            check_principal_type(m, arc, E1, grid=(32, n_fiber))
 
     @pytest.mark.parametrize("p1_text", ["sin(xi_t)", "sqrt(xi_t^2 + 1)", "xi_t^5 + xi_t", "xi_t + 1/xi_t", "1 / xi_t"])
     def test_other_symbols_are_refused_before_any_fiber(self, sphere, p1_text):

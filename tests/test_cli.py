@@ -144,6 +144,36 @@ class TestAdmissibleCommand:
         err = captured.err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: p1 must be homogeneous of a positive degree")
 
+    @pytest.mark.parametrize("p1", ["(xi_t + 1)^40", "(xi_t^2 + xi_phi^2 - 1)^1000000"])
+    def test_high_power_of_a_ray_polynomial_is_refused_promptly(self, tmp_path, p1):
+        # refused before its expansion is built: in a child with a time
+        # limit, so that a regression fails instead of hanging the suite
+        payload = admissible_config({"kind": "longitude", "t_range": [0.3, 0.8]}, {"E1": 1.0, "E2": 0.5})
+        payload["p1"] = p1
+        cfg = write_config(tmp_path, "power.json", payload)
+        done = subprocess.run(
+            [sys.executable, "-m", "qcilab.cli", "admissible", "--config", cfg],
+            capture_output=True,
+            text=True,
+            env=_child_env(),
+            timeout=60,
+        )
+        assert done.returncode == 2 and done.stdout == ""
+        err = done.stderr.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: p1 must be homogeneous of a positive degree")
+
+    def test_symbol_reaching_the_cutoff_exits_empty_fiber(self, tmp_path, capsys):
+        payload = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]},
+            {"E1": 1.0, "E2": 0.5},
+        )
+        payload["p1"] = "xi_t^3 + xi_phi^2 + 0.1"
+        cfg = write_config(tmp_path, "far.json", payload)
+        assert cli.main(["admissible", "--config", cfg]) == 4
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        assert captured.err.splitlines() == ["error: unbounded fiber: level set p1 = 1.0 reaches radius 1000"]
+
     def test_symbol_without_xi_exits_empty_fiber(self, tmp_path, capsys):
         payload = admissible_config(
             {"kind": "longitude", "t_range": [0.3, 0.8]},

@@ -294,6 +294,7 @@ class TestDegree:
             ("(xi_t^2 + xi_phi^2)^2", 4),
             ("1 / xi_t", -1),
             ("2 * sin(t)", 0),
+            ("sin(xi_t)^0", 0),
             (f"{BUILTIN_P1_TEXT} + 0.1", None),
             (f"({BUILTIN_P1_TEXT} - 1)^2", None),
             ("xi_t - xi_t + 2", None),
@@ -329,6 +330,13 @@ class TestGrades:
             ("(xi_t^2 + 1) / xi_t", [-1, 1]),
             ("xi_t + 1/xi_t", [-1, 1]),
             ("xi_t^5 + xi_t", [1, 5]),
+            # wider than degree 4: refused before the expansion is built
+            ("(xi_t + 1)^5", None),
+            ("(xi_t + 1)^40", None),
+            ("(xi_t^2 + xi_phi^2 - 1)^1000000", None),
+            ("(xi_t^3 + 1) * (xi_t^2 + t)", None),
+            ("xi_t^6 + 1 - xi_t^6", None),
+            ("((xi_t + 1)^0)^1000000", [0]),
             ("sin(xi_t)", None),
             ("sqrt(xi_t^2 + 1)", None),
             ("1 / (xi_t + 1)", None),
