@@ -18,26 +18,25 @@ directions at equally spaced angles sigma:
 
     xi_t = r cos(sigma),   xi_phi = r f(t) sin(sigma).
 
-Along each ray p1 is read as a polynomial in r, and every root of
-p1 = E1 on it is taken in closed form:
+Along each ray p1 is read as a polynomial in r, sum_d a_d(x, w) r^d on
+the unit ray w, each a_d read off the expression (MomentMap.p1_grades),
+and every root of p1 = E1 on the ray is taken in closed form:
 
-* Where p1 is homogeneous of degree d > 0 in xi (MomentMap.p1_degree),
-  p1(x, r w) = r^d p1(x, w) on the unit ray w, so r = (E1 / p1(x, w))^(1/d)
-  (an ellipse for the builtin metric Hamiltonian, d = 2). It depends on
-  the parsed symbol alone, so the builtin symbols and their text give one
-  report, bit for bit.
-* Where p1 is a ray polynomial, sum_{d <= 4} a_d(x, w) r^d with each a_d
-  read off the expression (MomentMap.p1_grades), each ray takes all of
-  its positive roots (_roots): -a_0/a_1, the cancellation-free quadratic
-  formula, or companion-matrix eigenvalues. A ray of top degree m holds
-  m roots, ascending and padded with NaN, and the root axis is folded
-  into the fiber axis, so every later step sees one 2-D block.
-* A p1 of degree 0 is constant along each ray, so no ray meets its
+* Where p1 has one grade d > 0, homogeneous of degree d in xi, a_d is
+  p1 itself and r = (E1 / p1(x, w))^(1/d) (an ellipse for the builtin
+  metric Hamiltonian, d = 2). It depends on the parsed symbol alone, so
+  the builtin symbols and their text give one report, bit for bit.
+* Where p1 is a ray polynomial, of grades within 0 ... 4, each ray takes
+  all of its positive roots (_roots): -a_0/a_1, the cancellation-free
+  quadratic formula, or companion-matrix eigenvalues. A ray of top degree
+  m holds m roots, ascending and padded with NaN, and the root axis is
+  folded into the fiber axis, so every later step sees one 2-D block. A
+  p1 of grade 0 alone is constant along each ray, so no ray meets its
   level set in a point. Any other p1 is refused with ValueError.
 
-No radius beyond _MAX_RADIUS is kept. A ray polynomial whose level set
-reaches past it (_fibers) raises FiberError: a band or threshold read off
-the sample would be set by that cutoff, not by the symbol.
+Every fiber whose level set reaches past _MAX_RADIUS raises FiberError
+(_fibers): a band or threshold read off the sample would be set by that
+cutoff, not by the symbol.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: as the blocks pass, it keeps the p2 range and the frontier of
@@ -138,20 +137,18 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
     Returns (xi_t, xi_phi, radii, coframe), the first three of shape
     (len(ts), m len(sigmas)) with NaN where a ray has no root, and coframe
     the unit rays w = (cos sigma, sin sigma, f(t) sin sigma) of their
-    columns: column j m + k holds root k of ray j. A p1 of degree d > 0 in
-    xi has m = 1 and the radius (E1 / p1(x, w))^(1/d), from one p1 call a
-    block; a ray misses where that is not a float in [0, _MAX_RADIUS]. A
-    ray polynomial has m its top degree: its coefficients are evaluated
-    once a block, on the unit rays, and each ray takes its roots (_roots).
-    Its level set reaches past _MAX_RADIUS, which raises FiberError, where
-    a ray has a root beyond it or p1 - E1 on that circle changes sign along
-    a row. A p1 of degree 0 is a ray polynomial with no root. Any other p1
-    raises ValueError. A row whose rays all miss raises FiberError.
+    columns: column j m + k holds root k of ray j. Of one grade d > 0
+    (MomentMap.p1_grades), p1 has m = 1 and the radius (E1 / p1(x, w))^(1/d),
+    from one p1 call a block; a ray misses where that is not a float >= 0.
+    Of grades within 0 ... 4, m is the top grade: the coefficients are
+    evaluated once a block, on the unit rays, and each ray takes its roots
+    (_roots). Any other p1 raises ValueError. Either way the level set
+    reaches past _MAX_RADIUS, which raises FiberError, where a ray has a
+    root beyond it or p1 - E1 on that circle changes sign along a row. A
+    row whose rays all miss raises FiberError.
     """
-    d = map_.p1_degree
-    closed = d is not None and d > 0
-    grades = None if closed else {0: map_.p1} if d == 0 else map_.p1_grades
-    if not closed and (grades is None or min(grades) < 0 or max(grades) > 4):
+    grades = map_.p1_grades
+    if grades is None or not (len(grades) == 1 and min(grades) > 0 or 0 <= min(grades) <= max(grades) <= 4):
         raise ValueError(
             "p1 must be homogeneous of a positive degree in (xi_t, xi_phi) or a polynomial of "
             f"degree at most 4 along each fiber ray; '{format_expr(map_.p1_expr)}' is neither"
@@ -160,14 +157,20 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
     f = map_.surface.value(ts)[:, None]
     s = f * sn
     shape = (len(ts), len(sigmas))
-    if closed:
+    d = max(grades)
+    if len(grades) == 1 and d > 0:
+        a = np.broadcast_to(map_.p1(ts[:, None], phis[:, None], cs, s), shape)
         # in place: a fresh block-sized array costs more than a pass over it
         with np.errstate(all="ignore"):
-            radii = np.divide(E1, np.broadcast_to(map_.p1(ts[:, None], phis[:, None], cs, s), shape))
+            radii = np.divide(E1, a)
             radii **= 1.0 / d  # numpy takes the square root itself at d = 2
-        radii[~((radii >= 0.0) & (radii <= _MAX_RADIUS))] = np.nan
+            # p1 - E1 at r = _MAX_RADIUS has the sign of a - level (0 if 1e3^d overflows)
+            level = E1 / np.float64(_MAX_RADIUS) ** d
+        crosses = ~((a > level).all(axis=1) | (a < level).all(axis=1))
+        del a  # so that the arrays made below can take its memory
+        radii[~(radii >= 0.0)] = np.nan
     else:
-        a = np.zeros((max(grades) + 1,) + shape)
+        a = np.zeros((d + 1,) + shape)
         for k, coefficient in grades.items():
             a[k] = coefficient(ts[:, None], phis[:, None], cs, s)
         a[0] -= E1
@@ -175,10 +178,11 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
         with np.errstate(all="ignore"):
             far = np.sign(_horner(a, np.full((a.shape[1], 1), _MAX_RADIUS))).reshape(shape)
             roots = _roots(a)
-        if (np.abs(far.sum(axis=1)) < shape[1]).any() or (roots > _MAX_RADIUS).any():
-            raise FiberError(f"unbounded fiber: level set p1 = {E1} reaches radius {_MAX_RADIUS:g}")
+        crosses = np.abs(far.sum(axis=1)) < shape[1]
         radii = roots.reshape(len(ts), -1)
         cs, sn, s = (np.repeat(x, roots.shape[1], axis=-1) for x in (cs, sn, s))
+    if crosses.any() or (radii > _MAX_RADIUS).any():
+        raise FiberError(f"unbounded fiber: level set p1 = {E1} reaches radius {_MAX_RADIUS:g}")
     if not np.isfinite(radii).any(axis=1).all():
         raise FiberError(f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays")
     xi_phi = radii * f
@@ -457,7 +461,8 @@ def check_admissible(
     Raises
     ------
     FiberError
-        When the level set p1 = E1 misses every ray of some fiber.
+        When the level set p1 = E1 misses every ray of some fiber, or
+        reaches past radius 1e3.
     ValueError
         When p1 is neither homogeneous of a degree d > 0 in xi nor a
         polynomial of degree at most 4 along the rays, before any fiber

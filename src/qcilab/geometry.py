@@ -144,8 +144,8 @@ def make_profile(kind: str, coefficients: list[float]) -> ProfileFunction:
     Raises
     ------
     ProfileError
-        If q is not positive, or f^2 has more than one interior critical
-        point, or the maximum is degenerate (Morse violation).
+        If q is not positive, f^2 overflows or has more than one interior
+        critical point, or the maximum is degenerate (Morse violation).
     """
     if kind not in PROFILE_KINDS:
         raise ProfileError(f"unknown profile kind {kind!r}")
@@ -156,33 +156,37 @@ def make_profile(kind: str, coefficients: list[float]) -> ProfileFunction:
         raise ProfileError("non-finite coefficient")
 
     probe = ProfileFunction(kind=kind, coefficients=coeffs, t0=0.0)
-    if np.min(probe._q(np.linspace(-1.0, 1.0, _Q_GRID_POINTS))) <= 0.0:
-        raise ProfileError("q(t) must be strictly positive on [-1, 1]")
+    try:
+        with np.errstate(over="raise", invalid="raise"):
+            if np.min(probe._q(np.linspace(-1.0, 1.0, _Q_GRID_POINTS))) <= 0.0:
+                raise ProfileError("q(t) must be strictly positive on [-1, 1]")
 
-    # The interior critical points of f^2 are the real roots of the
-    # polynomial (f^2)' in (-1, 1). Exactly one may remain once coincident
-    # roots are collapsed, and that one is t0.
-    poly = np.polynomial.Polynomial
-    roots = (poly([1.0, 0.0, -1.0]) * poly(coeffs or (1.0,))).deriv().roots()
-    interior = [
-        r.real
-        for r in np.atleast_1d(roots)
-        if abs(r.imag) < 1e-9 and -1.0 + 1e-12 < r.real < 1.0 - 1e-12
-    ]
-    # collapse numerically coincident roots before counting
-    interior.sort()
-    distinct = [r for i, r in enumerate(interior) if i == 0 or r - interior[i - 1] > 1e-9]
-    if len(distinct) != 1:
-        raise ProfileError(
-            f"f^2 must have exactly one interior critical point, found {len(distinct)}"
-        )
-    t0 = float(distinct[0])
-    curvature = probe.sq_second(t0)
-    if curvature >= -1e-10:
-        raise ProfileError("degenerate maximum of f^2 (Morse violation)")
-    # roots() solves a companion-matrix eigenproblem; one Newton step
-    # polishes its root to working precision
-    t0 = float(t0 - probe.sq_prime(t0) / curvature)
+            # The interior critical points of f^2 are the real roots of the
+            # polynomial (f^2)' in (-1, 1). Exactly one may remain once
+            # coincident roots are collapsed, and that one is t0.
+            poly = np.polynomial.Polynomial
+            roots = (poly([1.0, 0.0, -1.0]) * poly(coeffs or (1.0,))).deriv().roots()
+            interior = [
+                r.real
+                for r in np.atleast_1d(roots)
+                if abs(r.imag) < 1e-9 and -1.0 + 1e-12 < r.real < 1.0 - 1e-12
+            ]
+            # collapse numerically coincident roots before counting
+            interior.sort()
+            distinct = [r for i, r in enumerate(interior) if i == 0 or r - interior[i - 1] > 1e-9]
+            if len(distinct) != 1:
+                raise ProfileError(
+                    f"f^2 must have exactly one interior critical point, found {len(distinct)}"
+                )
+            t0 = float(distinct[0])
+            curvature = probe.sq_second(t0)
+            if curvature >= -1e-10:
+                raise ProfileError("degenerate maximum of f^2 (Morse violation)")
+            # roots() solves a companion-matrix eigenproblem; one Newton step
+            # polishes its root to working precision
+            t0 = float(t0 - probe.sq_prime(t0) / curvature)
+    except FloatingPointError as exc:
+        raise ProfileError(f"f^2 overflows in floating point: {exc}") from None
     if abs(t0) < _T0_TOL:
         t0 = 0.0
 

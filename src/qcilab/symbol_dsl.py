@@ -447,68 +447,59 @@ def _diff(node: Expr, var: str) -> Expr:
     raise TypeError(f"not an expression node: {node!r}")
 
 
-def _degree(node: Expr) -> Optional[int]:
-    """The d with node(t, phi, r xi) = r^d node(t, phi, xi) for all r > 0, or None.
-
-    xi_t and xi_phi have degree 1; constants, t and phi 0. '*' adds degrees,
-    '/' subtracts them, '^n' multiplies by n, and '^0' has degree 0 whatever
-    its base; '+' and '-' need equal ones; abs keeps the degree, sqrt halves
-    an even one; sin, cos, f and fp need degree 0. Anything else has no
-    degree.
-    """
-    if isinstance(node, Num):
-        return 0
-    if isinstance(node, Var):
-        return int(node.name in ("xi_t", "xi_phi"))
-    if isinstance(node, Neg):
-        return _degree(node.operand)
-    if isinstance(node, Pow):
-        d = _degree(node.base)
-        return 0 if node.exponent == 0 else None if d is None else d * node.exponent
-    if isinstance(node, BinOp):
-        a, b = _degree(node.left), _degree(node.right)
-        if a is None or b is None or (node.op in "+-" and a != b):
-            return None
-        return {"+": a, "-": a, "*": a + b, "/": a - b}[node.op]
-    d = _degree(node.arg)
-    if d is None or node.func == "abs":
-        return d
-    if node.func == "sqrt":
-        return None if d % 2 else d // 2
-    return 0 if d == 0 and node.func in ("sin", "cos", "f", "fp") else None
-
-
 def _grades(node: Expr) -> Optional[dict]:
     """node read along rays, {d: a_d} with node(t, phi, r xi) = sum_d r^d a_d(t, phi, xi), or None.
 
-    A node with a degree d (_degree) is its own coefficient, {d: node}. Of
-    the others, '+' and '-' merge the maps of their operands, '*'
-    convolves them and '^n' convolves n copies; '/' by a node of degree e
-    shifts every grade by -e. Any other node with no degree has no grades,
-    nor has one whose grades span more than _MAX_SPAN. No operation narrows
-    a map, so none wider is built: a node with no degree spans at least 1,
-    so '^n' convolves at most _MAX_SPAN copies.
+    A node of one degree d, node(t, phi, r xi) = r^d node(t, phi, xi) for
+    all r > 0, is its own coefficient, {d: node}. xi_t and xi_phi have
+    degree 1; constants, t and phi 0. Of nodes whose operands have one
+    degree each, '*' adds the degrees, '/' subtracts them and '^n'
+    multiplies by n, while '^0' has degree 0 whatever its base; '+' and '-'
+    of equal degrees keep it; abs keeps the degree, sqrt halves an even
+    one; sin, cos, f and fp need degree 0. Otherwise '+' and '-' merge the
+    maps of their operands, '*' convolves them and '^n' convolves n copies;
+    '/' by a node of degree e shifts every grade by -e. Any other node has
+    no grades, nor has one whose grades span more than _MAX_SPAN. No
+    operation narrows a map, so none wider is built: a node of more than
+    one grade spans at least 1, so '^n' convolves at most _MAX_SPAN copies.
     """
-    d = _degree(node)
-    if d is not None:
-        return {d: node}
+    if isinstance(node, Num):
+        return {0: node}
+    if isinstance(node, Var):
+        return {int(node.name in ("xi_t", "xi_phi")): node}
+    if isinstance(node, Pow) and node.exponent == 0:
+        return {0: node}
+    if isinstance(node, Call):
+        g = _grades(node.arg)
+        if g is None or len(g) > 1:
+            return None
+        (d,) = g
+        if node.func == "abs":
+            return {d: node}
+        if node.func == "sqrt":
+            return None if d % 2 else {d // 2: node}
+        return {0: node} if d == 0 and node.func in ("sin", "cos", "f", "fp") else None
     if isinstance(node, Neg):
         g = _grades(node.operand)
-        return None if g is None else {k: _neg(a) for k, a in g.items()}
+        if g is None:
+            return None
+        return {d: node for d in g} if len(g) == 1 else {k: _neg(a) for k, a in g.items()}
     if isinstance(node, Pow):
         g = _grades(node.base)
         if g is None or (max(g) - min(g)) * node.exponent > _MAX_SPAN:
             return None
-        return reduce(_convolve, [g] * node.exponent)
-    if not isinstance(node, BinOp):
-        return None
-    a = _grades(node.left)
-    if node.op == "/":
-        e = _degree(node.right)
-        return None if a is None or e is None else {k - e: BinOp("/", c, node.right) for k, c in a.items()}
-    b = _grades(node.right)
+        return {d * node.exponent: node for d in g} if len(g) == 1 else reduce(_convolve, [g] * node.exponent)
+    a, b = _grades(node.left), _grades(node.right)
     if a is None or b is None:
         return None
+    if len(a) == len(b) == 1 and (node.op in "*/" or a.keys() == b.keys()):
+        (d,), (e,) = a, b
+        return {{"+": d, "-": d, "*": d + e, "/": d - e}[node.op]: node}
+    if node.op == "/":
+        if len(b) > 1:
+            return None
+        (e,) = b
+        return {k - e: BinOp("/", c, node.right) for k, c in a.items()}
     if node.op == "*":
         out = _convolve(a, b)
     else:
@@ -543,10 +534,9 @@ class MomentMap:
 
     partials gives exact partial derivatives of either slot, differentiated
     on the AST and compiled once, on first use, for all four variables.
-    p1_degree is p1's degree of homogeneity in (xi_t, xi_phi), or None.
-    p1_grades reads a p1 with no degree along rays (_grades): the compiled
-    coefficient of each power of r, or None where p1 has a degree or no
-    such reading.
+    p1_grades reads p1 along rays (_grades): the compiled coefficient of
+    each power of r, or None where p1 has no such reading. A p1 homogeneous
+    in (xi_t, xi_phi) has one grade, and that coefficient is p1 itself.
     """
 
     surface: ProfileFunction
@@ -573,17 +563,17 @@ class MomentMap:
         return out
 
     @cached_property
-    def p1_degree(self) -> Optional[int]:
-        return _degree(self.p1_expr)
-
-    @cached_property
     def p1_grades(self) -> Optional[dict]:
-        """{d: compiled a_d} with p1(t, phi, r xi) = sum_d r^d a_d(t, phi, xi), or None.
+        """{d: a_d} with p1(t, phi, r xi) = sum_d r^d a_d(t, phi, xi), or None.
 
-        Only a p1 with no degree is read, so a homogeneous one compiles nothing more.
+        A homogeneous p1, of one grade d, maps to {d: compiled p1} and
+        compiles nothing more; every other a_d is compiled here. The bound
+        method self.p1 in its place would make each map a reference cycle.
         """
-        grades = None if self.p1_degree is not None else _grades(self.p1_expr)
-        return None if grades is None else {d: compile_expr(a, self.surface) for d, a in grades.items()}
+        grades = _grades(self.p1_expr)
+        if grades is None:
+            return None
+        return {d: self._p1 if len(grades) == 1 else compile_expr(a, self.surface) for d, a in grades.items()}
 
     def p1(self, t, phi, xi_t, xi_phi):
         return self._p1(t, phi, xi_t, xi_phi)

@@ -59,7 +59,7 @@ class TestFiberPoints:
         # a r^2 + b r with a = cos^2 + 2 sin^2 and b = 0.1 sin(t) cos, whose
         # one positive root at level 1 is r = (sqrt(b^2 + 4a) - b) / 2a
         parsed = moment_map_from_config(sphere, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", None)
-        assert parsed.p1_degree is None
+        assert sorted(parsed.p1_grades) == [1, 2]
         pts = fiber_points(parsed, (0.4, 0.0), 1.0, 16)
         assert len(pts) == 16
         f = sphere.value(0.4)
@@ -71,12 +71,15 @@ class TestFiberPoints:
             assert (xt, xp) == pytest.approx((r * c, r * f * sn), abs=1e-10)
 
     def test_rays_missing_the_level_set_are_dropped(self, sphere):
-        # p1 = xi_t^2 never reaches 1 on the two vertical rays
-        m = moment_map_from_config(sphere, "xi_t^2", None)
-        pts = fiber_points(m, (0.0, 0.0), 1.0, 8)
+        # the circle (xi_t - 2)^2 + xi_phi^2 = 3 at t = 0 does not enclose
+        # xi = 0: the rays sigma = 0 and +-pi/4 meet it at r = 2 +- sqrt(3)
+        # and sqrt(2) +- 1, and the five others never do
+        m = moment_map_from_config(sphere, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", None)
+        pts = fiber_points(m, (0.0, 0.0), 3.0, 8)
         assert len(pts) == 6
-        for xt, _ in pts:
-            assert abs(abs(xt) - 1.0) <= 1e-8
+        radii = sorted(np.hypot(*pt) for pt in pts)
+        expect = sorted([2 - np.sqrt(3), 2 + np.sqrt(3)] + [np.sqrt(2) - 1, np.sqrt(2) + 1] * 2)
+        np.testing.assert_allclose(radii, expect, rtol=1e-12)
 
     def test_touching_level_set_found_by_tangential_search(self, sphere):
         # (|xi|^2 - 1)^2 = 0 only touches zero, a double root on every ray:
@@ -237,10 +240,12 @@ class TestCheckAdmissible:
         [
             # the fiber radius changes from row to row along the arc
             ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", 1.0, False),
-            # the two vertical rays never meet the level set
-            ("xi_t^2", 1.0, False),
+            # rays facing away from xi_t = 2 never meet the level set
+            ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", 1.0, False),
             # a double root on every ray, one tangential touch
             ("(xi_t^2 + xi_phi^2 - 1)^2", 0.0, True),
+            # one grade so high that 1e3^d overflows a float
+            ("xi_t^400 + xi_phi^400", 1.0, False),
         ],
     )
     def test_block_solve_equals_the_row_by_row_walk(
@@ -492,8 +497,9 @@ def _oracle_cases():
         ("explicit-epsilon", "perturbed", (None, None), straddle, 1.0, 0.5, 0.01),
         ("explicit-epsilon-dsl", "perturbed", (BUILTIN_P1_TEXT, BUILTIN_P2_TEXT), straddle, 1.1, -0.4, 0.2),
         ("constant-p2-fallback", "perturbed", (None, "1"), straddle, 1.0, 1.0, None),
-        ("rays-miss", "perturbed", ("xi_t^2", "xi_phi"), straddle, 1.0, 0.3, None),
-        ("rays-miss-empty", "perturbed", ("xi_t^2", "xi_phi"), straddle, 1.0, 9.0, None),
+        # the shifted ellipse: rays facing away from xi_t = 2 miss it
+        ("rays-miss", "perturbed", ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_phi"), straddle, 1.0, 0.3, None),
+        ("rays-miss-empty", "perturbed", ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_phi"), straddle, 1.0, 9.0, None),
         # a p1 not homogeneous in xi, one positive root of a quadratic a ray
         ("ray-polynomial", "perturbed", ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi"), straddle, 1.1, 0.3,
          None),
@@ -586,7 +592,7 @@ class TestStreamedVerdict:
     def test_cases_cover_ties_misses_and_empty_bands(self, sphere, perturbed):
         # the oracle cases above reach what they are named for
         arc = longitude_arc(perturbed, (-0.2, 0.4), 1.3)
-        miss = moment_map_from_config(perturbed, "xi_t^2", "xi_phi")
+        miss = moment_map_from_config(perturbed, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_phi")
         taus = np.linspace(*arc.param_range, 33)
         radii = np.concatenate([r for *_, r, _ in adm._arc_fibers(miss, arc, 1.0, taus, adm._angles(32))])
         assert np.isnan(radii).any()
@@ -623,7 +629,7 @@ class TestClosedFormRadius:
     @pytest.mark.parametrize("E1", [-1.0, 0.0, 1e-20, 4e6])
     def test_builtin_and_text_spellings_give_one_outcome(self, perturbed, E1):
         # the same report, or the same FiberError: no level set below 0,
-        # the zero section at 0, and none beyond the scan at 4e6
+        # the zero section at 0, and one beyond the cutoff at 4e6
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
 
         def outcome(m):
@@ -635,8 +641,10 @@ class TestClosedFormRadius:
         text = moment_map_from_config(perturbed, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
         got = outcome(builtin_moment_map(perturbed))
         assert got == outcome(text)
-        if E1 in (-1.0, 4e6):
+        if E1 == -1.0:
             assert got == f"empty fiber: level set p1 = {E1} not met along any of 64 rays"
+        if E1 == 4e6:
+            assert got == f"unbounded fiber: level set p1 = {E1} reaches radius 1000"
         if E1 == 0.0:
             assert fiber_points(text, (0.4, 1.0), 0.0, 8) == [(0.0, 0.0)] * 8
 
@@ -644,8 +652,8 @@ class TestClosedFormRadius:
 def _np_roots(map_, t, phi, E1, sigmas):
     """Reference: the positive roots of p1 = E1 on each ray, np.roots one ray at a time.
 
-    A ray's coefficients are p1's grades on its unit ray, or r^d p1(unit
-    ray) for a p1 of degree d; a leading coefficient below 1e-30 of the
+    A ray's coefficients are p1's grades on its unit ray (for a p1 of one
+    grade d, r^d p1(unit ray)); a leading coefficient below 1e-30 of the
     largest is taken as 0, since np.roots' companion matrix cannot be
     balanced there (cos(pi/2) rounds to 6e-17, and xi_t^4 to 1e-65 on that
     ray). Real parts of roots within 1e-4 of the real axis are read, each
@@ -657,10 +665,7 @@ def _np_roots(map_, t, phi, E1, sigmas):
     out = []
     for sigma in sigmas:
         c, s = np.cos(sigma), f * np.sin(sigma)
-        if map_.p1_degree is None:
-            grades = {d: float(a(t, phi, c, s)) for d, a in map_.p1_grades.items()}
-        else:
-            grades = {map_.p1_degree: float(map_.p1(t, phi, c, s))}
+        grades = {d: float(a(t, phi, c, s)) for d, a in map_.p1_grades.items()}
         coefs = np.zeros(max(grades) + 1)
         for d, a in grades.items():
             coefs[d] = a
@@ -687,8 +692,8 @@ def _np_roots(map_, t, phi, E1, sigmas):
     return out
 
 
-# ray polynomials whose level set reaches r = 1e3: _fibers refuses them,
-# so their rays are solved by _roots alone, on the coefficients _fibers reads
+# symbols whose level set reaches r = 1e3: _fibers refuses them, so their
+# rays are solved by _roots alone, on the coefficients _fibers reads
 _UNBOUNDED = {
     "(t - 0.5) * xi_t + 0.3 * xi_phi + 1",
     "(t - 0.5) * xi_t^2 + xi_t + xi_phi",
@@ -696,6 +701,7 @@ _UNBOUNDED = {
     "(t - 0.5) * xi_t^3 + xi_t^2 + xi_phi^2 / f(t)^2 - xi_t",
     "(t - 0.5) * xi_t^4 + xi_t^2 + xi_phi^2/f(t)^2 - 0.3*xi_t",
     "(xi_t - 0.5)^3 + 1",
+    "xi_t^3",
 }
 
 
@@ -775,12 +781,16 @@ class TestRayRoots:
     @pytest.mark.parametrize("n_fiber", [33, 128, 129])
     @pytest.mark.parametrize(
         "p1_text, E1",
-        # an odd top degree, a line, and two circles of which
-        # the larger lies beyond r = 1e3
+        # an odd top degree, a line, and two circles of which the larger
+        # lies beyond r = 1e3; then homogeneous symbols, of which p1 on the
+        # unit ray changes sign along a row: a hyperbola, a product and a cube
         [
             ("xi_t^3 + xi_phi^2 + 0.1", 1.0),
             ("xi_t + 2 * xi_phi + 1", 2.0),
             ("(xi_t^2 + xi_phi^2/f(t)^2 - 1) * (xi_t^2 + xi_phi^2/f(t)^2 - 4e6)", 0.0),
+            ("xi_t^2 - xi_phi^2/f(t)^2", 1.0),
+            ("xi_t * xi_phi", 1.0),
+            ("xi_t^3", 1.0),
         ],
     )
     def test_fiber_reaching_the_cutoff_is_refused(self, sphere, p1_text, E1, n_fiber):

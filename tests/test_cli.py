@@ -5,6 +5,7 @@ import math
 import os
 import subprocess
 import sys
+import warnings
 import zlib
 
 import numpy as np
@@ -162,12 +163,13 @@ class TestAdmissibleCommand:
         err = done.stderr.splitlines()
         assert len(err) == 1 and err[0].startswith("error: p1 must be homogeneous of a positive degree")
 
-    def test_symbol_reaching_the_cutoff_exits_empty_fiber(self, tmp_path, capsys):
+    @pytest.mark.parametrize("p1", ["xi_t^3 + xi_phi^2 + 0.1", "xi_t^2 - xi_phi^2/f(t)^2"])
+    def test_symbol_reaching_the_cutoff_exits_empty_fiber(self, tmp_path, capsys, p1):
         payload = admissible_config(
             {"kind": "longitude", "t_range": [0.3, 0.8]},
             {"E1": 1.0, "E2": 0.5},
         )
-        payload["p1"] = "xi_t^3 + xi_phi^2 + 0.1"
+        payload["p1"] = p1
         cfg = write_config(tmp_path, "far.json", payload)
         assert cli.main(["admissible", "--config", cfg]) == 4
         captured = capsys.readouterr()
@@ -184,6 +186,25 @@ class TestAdmissibleCommand:
         assert cli.main(["admissible", "--config", cfg]) == 4
         err = capsys.readouterr().err.splitlines()
         assert len(err) == 1 and err[0].startswith("error: empty fiber")
+
+    @pytest.mark.parametrize("coefficients", [[1e308], [1e308, 0, 1e308]])
+    def test_overflowing_profile_is_a_config_error(self, tmp_path, capsys, coefficients):
+        # f^2 = (1 - t^2) q(t) and its derivatives overflow for such q: one
+        # error line, and no numpy warning before it
+        payload = admissible_config(
+            {"kind": "longitude", "t_range": [0.3, 0.8]},
+            {"E1": 1.0, "E2": 0.5},
+        )
+        payload["profile"] = {"kind": "polynomial-perturbed", "coefficients": coefficients}
+        cfg = write_config(tmp_path, "overflow.json", payload)
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            assert cli.main(["admissible", "--config", cfg]) == 2
+        assert not caught
+        captured = capsys.readouterr()
+        assert captured.out == ""
+        err = captured.err.splitlines()
+        assert len(err) == 1 and err[0].startswith("error: f^2 overflows in floating point")
 
     def test_syntax_error_is_a_config_error(self, tmp_path, capsys):
         payload = admissible_config(

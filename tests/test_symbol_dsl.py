@@ -1,6 +1,7 @@
 """Expression parser, printer, evaluator, derivatives and phase-space function pairs."""
 
 import re
+import weakref
 
 import numpy as np
 import pytest
@@ -20,7 +21,7 @@ from qcilab import (
     moment_map_from_config,
     parse_expr,
 )
-from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _degree, _diff, _grades
+from qcilab.symbol_dsl import VARIABLES, BinOp, Call, Num, Var, _diff, _grades
 
 
 def ev(text, profile=None, **env):
@@ -235,7 +236,7 @@ class TestMomentMap:
         # the builtin slots are the parsed builtin text
         assert sphere_map.p1_expr == parse_expr(BUILTIN_P1_TEXT)
         assert sphere_map.p2_expr == parse_expr(BUILTIN_P2_TEXT)
-        assert sphere_map.p1_degree == 2
+        assert sphere_map.p1_grades == {2: sphere_map._p1}
 
     def test_symbols_are_compiled_once(self, sphere, monkeypatch):
         import qcilab.symbol_dsl as dsl
@@ -281,52 +282,31 @@ class TestMomentMap:
         assert moment_map_from_config(sphere, None, "t").p1_expr == m.p1_expr
 
 
-class TestDegree:
-    @pytest.mark.parametrize(
-        "text, degree",
-        [
-            (BUILTIN_P1_TEXT, 2),
-            (f"sqrt({BUILTIN_P1_TEXT})", 1),
-            ("(1 + t^2) * (xi_t^2 + xi_phi^2 / f(t)^2)", 2),
-            ("abs(xi_t) + abs(xi_phi)", 1),
-            ("-xi_t^3 / xi_phi", 2),
-            ("cos(phi) * xi_phi - fp(t) * xi_t", 1),
-            ("(xi_t^2 + xi_phi^2)^2", 4),
-            ("1 / xi_t", -1),
-            ("2 * sin(t)", 0),
-            ("sin(xi_t)^0", 0),
-            (f"{BUILTIN_P1_TEXT} + 0.1", None),
-            (f"({BUILTIN_P1_TEXT} - 1)^2", None),
-            ("xi_t - xi_t + 2", None),
-            ("sin(xi_t)", None),
-            ("f(xi_phi)", None),
-            ("sqrt(xi_t)", None),
-        ],
-    )
-    def test_degree_of_homogeneity_in_xi(self, text, degree):
-        assert _degree(parse_expr(text)) == degree
-
-    @pytest.mark.parametrize("text", [BUILTIN_P1_TEXT, "(1 + t^2) * abs(xi_t)^3 / xi_phi", "sqrt(xi_t^2 + phi^2 * xi_phi^2)"])
-    def test_degree_is_the_scaling_law(self, perturbed, text):
-        # p(t, phi, r xi) = r^d p(t, phi, xi) for r > 0
-        d = _degree(parse_expr(text))
-        rng = np.random.default_rng(5)
-        t, phi, xt, xp = rng.uniform(-0.8, 0.8, 50), rng.uniform(0.0, 6.0, 50), *rng.uniform(0.1, 2.0, (2, 50))
-        p = compile_expr(parse_expr(text), perturbed)
-        for r in (0.3, 2.0, 7.0):
-            np.testing.assert_allclose(p(t, phi, r * xt, r * xp), r**d * p(t, phi, xt, xp), rtol=1e-13)
-
-
 class TestGrades:
     @pytest.mark.parametrize(
         "text, grades",
         [
+            # one grade: homogeneous in xi, its own coefficient
             (BUILTIN_P1_TEXT, [2]),
+            (f"sqrt({BUILTIN_P1_TEXT})", [1]),
+            ("(1 + t^2) * (xi_t^2 + xi_phi^2 / f(t)^2)", [2]),
+            ("abs(xi_t) + abs(xi_phi)", [1]),
+            ("-xi_t^3 / xi_phi", [2]),
+            ("cos(phi) * xi_phi - fp(t) * xi_t", [1]),
+            ("(xi_t^2 + xi_phi^2)^2", [4]),
+            ("1 / xi_t", [-1]),
+            ("2 * sin(t)", [0]),
+            ("sin(xi_t)^0", [0]),
+            ("(xi_t + 1)^0", [0]),
+            ("((xi_t + 1)^0)^1000000", [0]),
+            ("xi_t^1000000", [1000000]),
+            # more than one grade
+            (f"{BUILTIN_P1_TEXT} + 0.1", [0, 2]),
+            ("xi_t - xi_t + 2", [0, 1]),
             ("xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", [1, 2]),
             ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", [0, 1, 2]),
             (f"({BUILTIN_P1_TEXT} - 1)^2", [0, 2, 4]),
             ("-(xi_t + t)^3 - 1", [0, 1, 2, 3]),
-            ("(xi_t + 1)^0", [0]),
             ("(xi_t^2 + 1) / xi_t", [-1, 1]),
             ("xi_t + 1/xi_t", [-1, 1]),
             ("xi_t^5 + xi_t", [1, 5]),
@@ -336,20 +316,28 @@ class TestGrades:
             ("(xi_t^2 + xi_phi^2 - 1)^1000000", None),
             ("(xi_t^3 + 1) * (xi_t^2 + t)", None),
             ("xi_t^6 + 1 - xi_t^6", None),
-            ("((xi_t + 1)^0)^1000000", [0]),
+            # no reading along rays
             ("sin(xi_t)", None),
+            ("f(xi_phi)", None),
+            ("sqrt(xi_t)", None),
             ("sqrt(xi_t^2 + 1)", None),
             ("1 / (xi_t + 1)", None),
             ("cos(xi_t + 1) * xi_t", None),
         ],
     )
     def test_grades_of_a_symbol(self, text, grades):
-        got = _grades(parse_expr(text))
+        node = parse_expr(text)
+        got = _grades(node)
         assert (None if got is None else sorted(got)) == grades
+        if grades is not None and len(grades) == 1:
+            assert got == {grades[0]: node}
 
     @pytest.mark.parametrize(
         "text",
         [
+            BUILTIN_P1_TEXT,
+            "(1 + t^2) * abs(xi_t)^3 / xi_phi",
+            "sqrt(xi_t^2 + phi^2 * xi_phi^2)",
             "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t",
             f"({BUILTIN_P1_TEXT} - 1)*({BUILTIN_P1_TEXT} - 4)",
             "-(xi_t - phi * xi_phi + t)^3 / (2 + t^2) - abs(xi_phi) * (xi_t + 1)",
@@ -357,7 +345,8 @@ class TestGrades:
         ],
     )
     def test_grades_are_the_coefficients_along_rays(self, perturbed, text):
-        # p(t, phi, r xi) = sum_d r^d a_d(t, phi, xi) for r > 0
+        # p(t, phi, r xi) = sum_d r^d a_d(t, phi, xi) for r > 0; of one
+        # grade d, the scaling law p(t, phi, r xi) = r^d p(t, phi, xi)
         node = parse_expr(text)
         p = compile_expr(node, perturbed)
         grades = {d: compile_expr(a, perturbed) for d, a in _grades(node).items()}
@@ -365,10 +354,20 @@ class TestGrades:
         t, phi, xt, xp = rng.uniform(-0.8, 0.8, 50), rng.uniform(0.0, 6.0, 50), *rng.uniform(0.1, 2.0, (2, 50))
         for r in (0.3, 2.0, 7.0):
             series = sum(r**d * a(t, phi, xt, xp) for d, a in grades.items())
-            np.testing.assert_allclose(p(t, phi, r * xt, r * xp), series, rtol=1e-12)
+            np.testing.assert_allclose(p(t, phi, r * xt, r * xp), series, rtol=1e-13)
 
-    def test_only_a_p1_with_no_degree_compiles_grades(self, sphere):
-        assert moment_map_from_config(sphere, None, None).p1_grades is None
+    def test_a_homogeneous_p1_is_its_own_one_grade(self, sphere, monkeypatch):
+        import qcilab.symbol_dsl as dsl
+
+        m = moment_map_from_config(sphere, None, None)
+        m.p1(0.5, 0.0, 1.0, 0.0)
+        monkeypatch.setattr(dsl, "compile_expr", lambda *args: pytest.fail("compiled a grade"))
+        assert m.p1_grades == {2: m._p1}
+        monkeypatch.undo()
+        # no reference cycle: the map is freed without the garbage collector
+        ref = weakref.ref(m)
+        del m
+        assert ref() is None
         assert moment_map_from_config(sphere, "sin(xi_t)", None).p1_grades is None
         m = moment_map_from_config(sphere, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", None)
         assert sorted(m.p1_grades) == [0, 1, 2]
