@@ -42,6 +42,13 @@ The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: as the blocks pass, it keeps the p2 range and the frontier of
 the points that could still win, whatever the band's edge turns out to
 be; the least rate in the band is read from that frontier at the end.
+
+Each check makes one workspace (_Workspace) and every block reuses it:
+the fiber points, the partials of p1 and p2 (one compiled program,
+MomentMap._program), the rate and the band's |p2 - E2|, |rate| and masks
+are written into its arrays with out=, made at the first block's shape,
+and a shorter last block takes views of them. The workspace goes with
+the check; nothing block-sized is kept between checks.
 """
 
 from __future__ import annotations
@@ -127,11 +134,40 @@ class AdmissibilityReport:
 # -- fiber sampling ----------------------------------------------------------
 
 
+class _Workspace:
+    """The block-sized arrays of one check, one for each role, reused block by block.
+
+    A role's array is made at the first shape asked of it, the first and
+    largest block of the arc (_arc_fibers); a shorter last block takes a
+    view of its first rows. A workspace lives no longer than its check.
+    Roles serve steps whose values do not overlap: _rates' temporaries
+    tau, r and term serve _principal_ok before it and _Band.add after it,
+    and a program's buffers (_partials) take the roles 0, 1, ...
+    """
+
+    def __init__(self):
+        self._arrays = {}
+
+    def array(self, role, shape, dtype=float):
+        a = self._arrays.get(role)
+        if a is None or a.shape[1:] != shape[1:] or len(a) < shape[0]:
+            a = self._arrays[role] = np.empty(shape, dtype)
+        return a[: shape[0]]
+
+
+def _grid(grid) -> tuple[int, int]:
+    """(n_tau, n_fiber) of a sample grid; each count must be at least 32."""
+    n_tau, n_fiber = int(grid[0]), int(grid[1])
+    if n_tau < 32 or n_fiber < 32:
+        raise ValueError("grid counts must be at least 32 each")
+    return n_tau, n_fiber
+
+
 def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
+def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, work: Optional[_Workspace] = None):
     """Fibers over the base points (ts[i], phis[i]) along the coframe rays.
 
     Returns (xi_t, xi_phi, radii, coframe), the first three of shape
@@ -145,7 +181,8 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
     (_roots). Any other p1 raises ValueError. Either way the level set
     reaches past _MAX_RADIUS, which raises FiberError, where a ray has a
     root beyond it or p1 - E1 on that circle changes sign along a row. A
-    row whose rays all miss raises FiberError.
+    row whose rays all miss raises FiberError. Given a workspace, xi_t,
+    xi_phi and radii are its arrays, which the next block overwrites.
     """
     grades = map_.p1_grades
     if grades is None or not (len(grades) == 1 and min(grades) > 0 or 0 <= min(grades) <= max(grades) <= 4):
@@ -158,11 +195,16 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
     s = f * sn
     shape = (len(ts), len(sigmas))
     d = max(grades)
+
+    def out(role, shape):
+        """The workspace's array for role, or None for a fresh one."""
+        return None if work is None else work.array(role, shape)
+
     if len(grades) == 1 and d > 0:
         a = np.broadcast_to(map_.p1(ts[:, None], phis[:, None], cs, s), shape)
         # in place: a fresh block-sized array costs more than a pass over it
         with np.errstate(all="ignore"):
-            radii = np.divide(E1, a)
+            radii = np.divide(E1, a, out=out("radii", shape))
             radii **= 1.0 / d  # numpy takes the square root itself at d = 2
             # p1 - E1 at r = _MAX_RADIUS has the sign of a - level (0 if 1e3^d overflows)
             level = E1 / np.float64(_MAX_RADIUS) ** d
@@ -185,9 +227,9 @@ def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas):
         raise FiberError(f"unbounded fiber: level set p1 = {E1} reaches radius {_MAX_RADIUS:g}")
     if not np.isfinite(radii).any(axis=1).all():
         raise FiberError(f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays")
-    xi_phi = radii * f
-    xi_phi *= sn  # radii * f * sn, without a second fresh array
-    return radii * cs, xi_phi, radii, (cs, sn, s)
+    xi_phi = np.multiply(radii, f, out=out("xi_phi", radii.shape))
+    xi_phi *= sn  # radii * f * sn, without a second array
+    return np.multiply(radii, cs, out=out("xi_t", radii.shape)), xi_phi, radii, (cs, sn, s)
 
 
 def _roots(a):
@@ -247,11 +289,22 @@ def _candidates(c):
 
 
 def _on_level(a, r):
-    """Whether |p| <= _FIBER_TOL max(1, sum_d |a[d] r^d|) for p = sum_d a[d] r^d (_horner).
+    """Whether |p| <= _FIBER_TOL max(1, sum_d |a[d] r^d|) for p = sum_d a[d] r^d.
 
-    Relative to the size of p's terms, so that rounding loses no large root.
+    Relative to the size of p's terms, so that rounding loses no large
+    root. p and the size are two Horner sums (_horner) taken in one loop,
+    along r.T: a row of r holds a column's few candidates, so numpy's
+    inner loops run over the columns.
     """
-    return np.abs(_horner(a, r)) <= _FIBER_TOL * np.maximum(1.0, _horner(np.abs(a), np.abs(r)))
+    r = r.T
+    p, size = np.zeros(r.shape), np.zeros(r.shape)
+    ar = np.abs(r)
+    for ad in a[::-1]:
+        p *= r
+        p += ad
+        size *= ar
+        size += np.abs(ad)
+    return (np.abs(p) <= _FIBER_TOL * np.maximum(1.0, size)).T
 
 
 def _horner(a, r):
@@ -262,66 +315,126 @@ def _horner(a, r):
     return p
 
 
-def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas):
+def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas, work: Optional[_Workspace] = None):
     """The fibers over geod(taus), a block of rows at a time.
 
     Yields (rows, t, phi, xi_t, xi_phi, radii, coframe) with rows a slice
-    of taus and the rest as _fibers gives it; a block holds about _BLOCK
-    rays, which bounds the memory of every step that follows.
+    of taus and the rest as _fibers gives it, in work if given; a block
+    holds about _BLOCK rays, which bounds the memory of every step that
+    follows.
     """
     step = max(1, _BLOCK // len(sigmas))
     for start in range(0, len(taus), step):
         rows = slice(start, start + step)
         t, phi = geod.point(taus[rows], checked=False)
-        yield (rows, t, phi, *_fibers(map_, t, phi, E1, sigmas))
+        yield (rows, t, phi, *_fibers(map_, t, phi, E1, sigmas, work))
 
 
 # -- principal type and rates -------------------------------------------------
 
 
-def _principal_ok(xi_t, d_t, d_p) -> bool:
+def _into(ufunc, a, b, out):
+    """ufunc(a, b), written into out where a or b has out's shape, else a fresh value."""
+    if np.shape(a) == out.shape or np.shape(b) == out.shape:
+        return ufunc(a, b, out=out)
+    return ufunc(a, b)
+
+
+def _nonzero_quotient(a, b, out, keep, bits):
+    """a / b where a != 0, else +0.0, into out: np.divide(a, b, where=a != 0) into zeros.
+
+    keep (bool) and bits (int64) are scratch arrays of out's shape. A
+    where= divide branches on every point, and rounding scatters the zeros
+    of d_tau p1 (a third of a builtin longitude's points), which costs it
+    four plain divides. Here the quotient's bits are and'ed with all ones
+    where a != 0 and with zeros where it is 0.
+    """
+    np.divide(a, b, out=out)
+    np.negative(np.not_equal(a, 0.0, out=keep), out=bits, dtype=np.int64)
+    np.bitwise_and(out.view(np.int64), bits, out=out.view(np.int64))
+    return out
+
+
+def _partials(map_: MomentMap, slots, over, t, phi, xi_t, xi_phi, work: _Workspace):
+    """The partials of slots in over (MomentMap._program), evaluated in work's buffers."""
+    program = map_._program(slots, over)
+    return program(t, phi, xi_t, xi_phi, buffers=[work.array(k, xi_t.shape) for k in range(program.nbuf)])
+
+
+def _principal_ok(xi_t, d_t, d_p, work: _Workspace) -> bool:
     """True iff |grad_xi p1| = |(d_t, d_p)| > 1e-6 at every finite point of xi_t."""
-    grad2 = np.broadcast_to(d_t * d_t + d_p * d_p, xi_t.shape)
-    return bool(np.all(grad2[np.isfinite(xi_t)] > _PRINCIPAL_TOL**2))
+    shape = xi_t.shape
+    tau, term = work.array("tau", shape), work.array("term", shape)
+    grad2 = _into(np.add, _into(np.multiply, d_t, d_t, tau), _into(np.multiply, d_p, d_p, term), tau)
+    low = np.greater(grad2, _PRINCIPAL_TOL**2, out=work.array("mask", shape, bool))
+    np.logical_not(low, out=low)
+    low &= np.isfinite(xi_t, out=work.array("pick", shape, bool))
+    return not low.any()
 
 
 def check_principal_type(map_: MomentMap, geod: Geodesic, E1: float, grid=(128, 128)) -> bool:
-    """True iff |grad_xi p1| > 1e-6 at every sampled point of C_gamma."""
-    taus = np.linspace(geod.param_range[0], geod.param_range[1], int(grid[0]))
-    blocks = _arc_fibers(map_, geod, E1, taus, _angles(int(grid[1])))
-    return all(
-        _principal_ok(xt, *map_.partials("p1", t[:, None], phi[:, None], xt, xp, over=_XI))
-        for _, t, phi, xt, xp, *_ in blocks
-    )
+    """True iff |grad_xi p1| > 1e-6 at every sampled point of C_gamma.
+
+    grid is (n_tau, n_fiber), each count >= 32 (ValueError otherwise).
+    """
+    n_tau, n_fiber = _grid(grid)
+    taus = np.linspace(geod.param_range[0], geod.param_range[1], n_tau)
+    work = _Workspace()
+    for _, t, phi, xt, xp, *_ in _arc_fibers(map_, geod, E1, taus, _angles(n_fiber), work):
+        if not _principal_ok(xt, *_partials(map_, ("p1",), _XI, t[:, None], phi[:, None], xt, xp, work), work):
+            return False
+    return True
 
 
-def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, coframe):
+def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, coframe, work: Optional[_Workspace] = None):
     """(d p2 / d tau at fixed sigma, principal type of p1), one base point a row.
 
     coframe is the block's (cos sigma, sin sigma, f(t) sin sigma) (_fibers).
     The radius r(tau) of each ray solves p1 = E1, so r' = -d_tau p1 / d_r p1,
     with d_tau taken at fixed r. Then d p2 / d tau = d_tau p2 + d_r p2 r'.
-    Where d_tau p1 is exactly 0, r' is 0, even if d_r p1 vanishes too.
+    Where d_tau p1 is exactly 0, r' is 0, even if d_r p1 vanishes too; where
+    it is the scalar 0, as on a latitude arc, r' is the scalar 0.
+
+    The partials of p1 and p2 come from one program, and every block-sized
+    value is written into work's arrays (a new workspace if None), the
+    rate too, which the next block there overwrites.
     """
+    work = _Workspace() if work is None else work
+    shape = xi_t.shape
     t, phi = t[:, None], phi[:, None]
     c, sn, s = coframe
     # at fixed r, tau moves (t, phi) along the arc and, as t moves, turns
     # the coframe: xi_phi = r f(t) sin(sigma)
     speed = {v: d for v, d in zip(("t", "phi"), geod.tangent()) if d}
     if "t" in speed:
-        speed["xi_phi"] = radii * (map_.surface.derivative(t) * (speed["t"] * sn))
+        turn = np.multiply(map_.surface.derivative(t), speed["t"] * sn, out=work.array("speed", shape))
+        speed["xi_phi"] = np.multiply(radii, turn, out=turn)
     names = tuple(dict.fromkeys(_XI + tuple(speed)))
+    partials = _partials(map_, ("p1", "p2"), names, t, phi, xi_t, xi_phi, work)
+    d1, d2 = dict(zip(names, partials)), dict(zip(names, partials[len(names):]))
+    tau, r, term, rate = (work.array(role, shape) for role in ("tau", "r", "term", "rate"))
 
-    def along(slot):
-        """(d_tau at fixed r, d_r, partials) of one symbol."""
-        d = dict(zip(names, map_.partials(slot, t, phi, xi_t, xi_phi, over=names)))
-        return sum(d[v] * speed[v] for v in speed), c * d["xi_t"] + s * d["xi_phi"], d
+    def along(d):
+        """d_tau p at fixed r of one symbol, summed from 0 as sum() adds."""
+        total = 0
+        for v in speed:
+            total = _into(np.add, total, _into(np.multiply, d[v], speed[v], term), tau)
+        return total
+
+    def radial(d):
+        """d_r p of one symbol on the unit rays."""
+        return _into(np.add, _into(np.multiply, c, d["xi_t"], r), _into(np.multiply, s, d["xi_phi"], term), r)
 
     with np.errstate(all="ignore"):
-        tau1, r1, d1 = along("p1")
-        tau2, r2, _ = along("p2")
-        ratio = np.divide(tau1, r1, out=np.zeros(xi_t.shape), where=tau1 != 0.0)
-        return tau2 - r2 * ratio, _principal_ok(xi_t, d1["xi_t"], d1["xi_phi"])
+        ok = _principal_ok(xi_t, d1["xi_t"], d1["xi_phi"], work)  # before tau and term take the rate's values
+        tau1 = along(d1)
+        if np.ndim(tau1) == 0 and tau1 == 0.0:
+            ratio = 0.0
+        else:
+            ratio = _nonzero_quotient(tau1, radial(d1), rate, work.array("mask", shape, bool), term.view(np.int64))
+        tau2, r2 = along(d2), radial(d2)
+        rate = _into(np.subtract, tau2, _into(np.multiply, r2, ratio, rate), rate)
+        return rate, ok
 
 
 # -- the admissibility verdict -------------------------------------------------
@@ -351,10 +464,11 @@ class _Band:
     that point. With epsilon given, no point beyond it is in the band.
     """
 
-    def __init__(self, E2: float, epsilon: Optional[float]):
+    def __init__(self, E2: float, epsilon: Optional[float], work: Optional[_Workspace] = None):
         self.E2, self.epsilon = E2, epsilon
         self.lo, self.hi = np.inf, -np.inf
         self.held = np.empty((7, 0))
+        self.work = _Workspace() if work is None else work
 
     def eps(self) -> float:
         """epsilon, or its lower bound eps_lo while blocks still come."""
@@ -367,19 +481,32 @@ class _Band:
         self.lo = min(self.lo, np.fmin.reduce(p2, axis=None))
         self.hi = max(self.hi, np.fmax.reduce(p2, axis=None))
         eps = self.eps()
-        d, a = np.abs(p2 - self.E2).ravel(), np.abs(rate).ravel()
+        # |p2 - E2|, |rate| and the masks below are made in place, in
+        # workspace arrays that _rates is done with
+        shape, work = np.shape(rate), self.work
+        d = np.subtract(p2, self.E2, out=work.array("tau", shape))
+        d = np.abs(d, out=d).ravel()
+        a = np.abs(rate, out=work.array("r", shape)).ravel()
+        mask, pick, tie = (work.array(role, shape, bool).ravel() for role in ("mask", "pick", "tie"))
         # NaN p2 (a ray that missed) is neither below eps nor beyond it,
         # and a point with a non-finite rate is never a candidate
-        inside = np.where((d < eps) & (a < np.inf), a, np.inf)
+        np.less(d, eps, out=mask)
+        mask &= np.less(a, np.inf, out=pick)
+        inside = work.array("term", shape).ravel()
+        inside.fill(np.inf)
+        np.copyto(inside, a, where=mask)
         k = int(np.argmin(inside))
         least = inside[k]
         if self.epsilon is None:
-            beyond = d >= eps
+            beyond = np.greater_equal(d, eps, out=mask)
             # a tie in |rate| beats the least inside only ahead of it
-            pick = beyond & (a < least)
-            pick[:k] |= beyond[:k] & (a[:k] == least)
+            pick = np.less(a, least, out=pick)
+            pick &= beyond
+            tie = np.equal(a[:k], least, out=tie[:k])
+            tie &= beyond[:k]
+            pick[:k] |= tie
         else:
-            pick = np.zeros(d.shape, dtype=bool)
+            pick.fill(False)
         pick[k] |= least < np.inf
         i = np.flatnonzero(pick)
         d_i, a_i = d[i], a[i]
@@ -468,9 +595,7 @@ def check_admissible(
         polynomial of degree at most 4 along the rays, before any fiber
         is sampled.
     """
-    n_tau, n_fiber = int(grid[0]), int(grid[1])
-    if n_tau < 32 or n_fiber < 32:
-        raise ValueError("grid counts must be at least 32 each")
+    n_tau, n_fiber = _grid(grid)
     if threshold is not None and not threshold > 0.0:
         raise ValueError("threshold must be positive")
 
@@ -479,13 +604,14 @@ def check_admissible(
     sigmas = _angles(n_fiber)
     E1 = energies.E1
 
-    # one pass along the arc; the band keeps only the points that may
-    # still win
+    # one pass along the arc, every block in one workspace; the band keeps
+    # only the points that may still win
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
-    band = _Band(energies.E2, energies.epsilon)
+    work = _Workspace()
+    band = _Band(energies.E2, energies.epsilon, work)
     principal_ok = True
-    for rows, t, phi, xi_t, xi_phi, radii, coframe in _arc_fibers(map_, geod, E1, taus, sigmas):
-        deriv, ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
+    for rows, t, phi, xi_t, xi_phi, radii, coframe in _arc_fibers(map_, geod, E1, taus, sigmas, work):
+        deriv, ok = _rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe, work)
         principal_ok = principal_ok and ok
         p2 = np.broadcast_to(map_.p2(t[:, None], phi[:, None], xi_t, xi_phi), xi_t.shape)
         # m root columns a ray, so a row is m n_fiber points wide

@@ -14,8 +14,13 @@ the surface profile and fp its derivative, so symbols can reference the
 metric without hardcoding a profile.
 
 Error positions are reported as 1-based byte offsets into the source
-string. compile_expr turns an AST into one numpy function, once; it is
-the one evaluator, and takes scalars or numpy arrays alike.
+string. The one evaluator is a straight-line program (_Program): one or
+more ASTs compiled together, once, into a list of numpy calls, one step
+for each distinct sub-expression. Run on float arrays, it writes each
+step that depends on xi into block buffers that steps take again once
+the value they hold is last read, and keeps steps of t and phi alone at
+the shape of a row. compile_expr is its one-expression case and takes
+scalars or numpy arrays alike.
 
 Partial derivatives are taken exactly on the AST (_diff), so the
 derivatives of a symbol are symbols too, compiled and checked the same
@@ -26,6 +31,7 @@ derivative of abs) and fpp (the profile's second derivative, that of fp).
 from __future__ import annotations
 
 import math
+import operator
 import re
 from dataclasses import dataclass
 from functools import cached_property, reduce
@@ -282,83 +288,182 @@ def format_expr(node: Expr) -> str:
 def compile_expr(node: Expr, profile: ProfileFunction):
     """Compile an AST once into a numpy function fn(t, phi, xi_t, xi_phi).
 
-    Each node becomes one closure, so evaluating the result walks no tree
-    and makes one numpy call per operator. Arguments may be scalars or
-    arrays that broadcast together; omitted ones are 0.0. Calling fn
+    The tree becomes one straight-line program of numpy calls (_Program),
+    one step per distinct sub-expression, so evaluating the result walks
+    no tree. Arguments may be scalars or arrays that broadcast together;
+    omitted ones are 0.0. Each call returns fresh arrays. Calling fn
     raises SymbolDomainError on division by zero, sqrt of a negative, or
     f/fp without a profile, naming the offending sub-expression. Any
     other floating-point overflow, invalid value or division by zero, such
     as f or fp off the chart, raises it too, naming the whole expression.
     The calls sign and fpp, which only derivatives hold, compile as well.
     """
-    fn = _compile(node, profile)
+    program = _Program((node,), profile)
 
     def evaluate(t=0.0, phi=0.0, xi_t=0.0, xi_phi=0.0):
-        # scalars become numpy scalars, which obey errstate as arrays do
-        env = tuple(v if isinstance(v, np.ndarray) else np.float64(v) for v in (t, phi, xi_t, xi_phi))
-        try:
-            with np.errstate(over="raise", invalid="raise", divide="raise"):
-                return fn(env)
-        except FloatingPointError as exc:
-            raise SymbolDomainError(f"{exc} in '{format_expr(node)}'") from None
+        return program(t, phi, xi_t, xi_phi)[0]
 
     return evaluate
 
 
-def _compile(node: Expr, profile: ProfileFunction):
-    """Closure env -> value for one node; env is (t, phi, xi_t, xi_phi)."""
-    if isinstance(node, Num):
-        value = np.float64(node.value)  # so that arithmetic on constants obeys errstate
-        return lambda env: value
-    if isinstance(node, Var):
-        slot = VARIABLES.index(node.name)
-        return lambda env: env[slot]
-    if isinstance(node, Neg):
-        operand = _compile(node.operand, profile)
-        return lambda env: -operand(env)
-    if isinstance(node, Pow):
-        base, exponent = _compile(node.base, profile), node.exponent
-        return lambda env: base(env) ** exponent
-    if isinstance(node, BinOp):
-        left, right = _compile(node.left, profile), _compile(node.right, profile)
-        if node.op == "+":
-            return lambda env: left(env) + right(env)
-        if node.op == "-":
-            return lambda env: left(env) - right(env)
-        if node.op == "*":
-            return lambda env: left(env) * right(env)
+_BINARY = {
+    "+": (operator.add, np.add),
+    "-": (operator.sub, np.subtract),
+    "*": (operator.mul, np.multiply),
+    "/": (operator.truediv, np.divide),
+}
+_UFUNC = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sign": np.sign, "sqrt": np.sqrt}
 
-        def divide(env):
-            a, b = left(env), right(env)
-            if np.any(np.asarray(b) == 0.0):
-                raise SymbolDomainError(f"division by zero in '{format_expr(node)}'")
-            return a / b
 
-        return divide
-    if isinstance(node, Call):
-        arg = _compile(node.arg, profile)
-        if node.func in ("sin", "cos", "abs", "sign"):
-            ufunc = {"sin": np.sin, "cos": np.cos, "abs": np.abs, "sign": np.sign}[node.func]
-            return lambda env: ufunc(arg(env))
-        if node.func == "sqrt":
+def _power(x, n, out):
+    """x ** n into out, by the ufunc that ** takes for a float array x."""
+    return np.square(x, out=out) if n == 2 else np.power(x, n, out=out)
 
-            def sqrt(env):
-                x = arg(env)
-                if np.any(np.asarray(x) < 0.0):
-                    raise SymbolDomainError(f"sqrt of negative value in '{format_expr(node)}'")
-                return np.sqrt(x)
 
-            return sqrt
-        if profile is None:
+class _Program:
+    """Expressions compiled together into one straight-line program.
 
-            def unavailable(env):
-                arg(env)
-                raise SymbolDomainError(f"'{node.func}' needs a surface profile in '{format_expr(node)}'")
+    The outputs' trees are walked post-order, left to right and one after
+    another, with a memo on their (frozen) nodes, so each distinct
+    sub-expression is one step, and so is its domain check. A run takes
+    the steps in order: the first error it meets is the one that
+    evaluating each tree in turn would meet first. An output of None is
+    never evaluated and reads 0.0.
 
-            return unavailable
-        curve = {"f": profile.value, "fp": profile.derivative, "fpp": profile.second_derivative}[node.func]
-        return lambda env: curve(arg(env))
-    raise TypeError(f"not an expression node: {node!r}")
+    Values are held in slots: the four inputs (VARIABLES), then the
+    constants, then one slot a step; a run lets a value go after the last
+    step that reads it. A step whose operands reach xi_t or xi_phi is
+    block-shaped in a run where those two are float arrays of one shape
+    that t and phi broadcast to. Such a run writes each block-shaped step
+    but a profile curve with out= into one of nbuf block buffers, assigned
+    by last use: a step may write over a value it reads for the last time.
+    Every other step, and every step of any other run, makes its value as
+    the operator would, so a step of t and phi alone keeps a row's shape.
+    """
+
+    def __init__(self, outputs: tuple, profile: ProfileFunction):
+        self.outputs = outputs
+        self.values = [None] * len(VARIABLES)  # a run's slots before its first step
+        self.block = [name in ("xi_t", "xi_phi") for name in VARIABLES]
+        self.steps = []  # (slot, node, operator form, out= form or None, operand slots, guard)
+        self.owner = []  # the output whose walk made each step
+        memo = {Var(name): k for k, name in enumerate(VARIABLES)}
+        self.results = tuple(
+            None if node is None else self._emit(node, k, profile, memo) for k, node in enumerate(outputs)
+        )
+        last = {a: i for i, step in enumerate(self.steps) for a in step[4]}
+        last.update((slot, len(self.steps)) for slot in self.results)  # outputs are read after the last step
+        # each step gains its buffer (or None) and the slots it reads last
+        held, free = {}, []
+        for i, (slot, node, fn, ufunc, args, guard) in enumerate(self.steps):
+            gone = tuple(a for a in set(args) if last[a] == i)
+            free += [held.pop(a) for a in gone if a in held]
+            dest = None
+            if self.block[slot] and ufunc is not None:
+                dest = held[slot] = free.pop() if free else len(held) + len(free)
+            self.steps[i] = (slot, node, fn, ufunc, args, guard, dest, gone)
+        self.nbuf = len(held) + len(free)
+
+    def _slot(self, value, block: bool) -> int:
+        self.values.append(value)
+        self.block.append(block)
+        return len(self.values) - 1
+
+    def _emit(self, node: Expr, owner: int, profile, memo: dict) -> int:
+        """The slot of node's value, emitting the steps it needs."""
+        slot = memo.get(node)
+        if slot is not None:
+            return slot
+        if isinstance(node, Num):
+            # a numpy scalar, so that arithmetic on constants obeys errstate
+            slot = memo[node] = self._slot(np.float64(node.value), False)
+            return slot
+
+        def emit(child):
+            return self._emit(child, owner, profile, memo)
+
+        guard = None
+        if isinstance(node, Neg):
+            fn, ufunc, args = operator.neg, np.negative, (emit(node.operand),)
+        elif isinstance(node, Pow):
+            fn, ufunc, args = operator.pow, _power, (emit(node.base), self._slot(node.exponent, False))
+        elif isinstance(node, BinOp):
+            (fn, ufunc), args = _BINARY[node.op], (emit(node.left), emit(node.right))
+            if node.op == "/":
+                guard = ("/", args[1], node)
+        elif isinstance(node, Call):
+            args = (emit(node.arg),)
+            if node.func in _UFUNC:
+                fn = ufunc = _UFUNC[node.func]
+                if node.func == "sqrt":
+                    guard = ("sqrt", args[0], node)
+            elif profile is None:
+                fn, ufunc, guard = None, None, ("profile", args[0], node)
+            else:
+                fn = {"f": profile.value, "fp": profile.derivative, "fpp": profile.second_derivative}[node.func]
+                ufunc = None
+        else:
+            raise TypeError(f"not an expression node: {node!r}")
+        slot = memo[node] = self._slot(None, any(self.block[a] for a in args))
+        self.steps.append((slot, node, fn, ufunc, args, guard))
+        self.owner.append(owner)
+        return slot
+
+    def __call__(self, t=0.0, phi=0.0, xi_t=0.0, xi_phi=0.0, buffers=None) -> tuple:
+        """The outputs' values at (t, phi, xi_t, xi_phi).
+
+        buffers, nbuf arrays of the block shape, take the block-shaped
+        steps of an in-place run, and then the outputs among them live
+        there; by default each run makes its own.
+        """
+        # scalars become numpy scalars, which obey errstate as arrays do
+        values = [v if isinstance(v, np.ndarray) else np.float64(v) for v in (t, phi, xi_t, xi_phi)]
+        shape = _block_shape(*values)
+        if shape is None:
+            buffers = None
+        elif buffers is None:
+            buffers = [np.empty(shape) for _ in range(self.nbuf)]
+        values += self.values[len(VARIABLES):]
+        step = 0
+        try:
+            with np.errstate(over="raise", invalid="raise", divide="raise"):
+                for step, (slot, _, fn, ufunc, args, guard, dest, gone) in enumerate(self.steps):
+                    operands = [values[a] for a in args]
+                    if guard is not None:
+                        _check(guard, values)
+                    for a in gone:
+                        values[a] = None
+                    if dest is None or buffers is None:
+                        values[slot] = fn(*operands)
+                    else:
+                        values[slot] = ufunc(*operands, out=buffers[dest])
+        except FloatingPointError as exc:
+            raise SymbolDomainError(f"{exc} in '{format_expr(self.outputs[self.owner[step]])}'") from None
+        return tuple(0.0 if slot is None else values[slot] for slot in self.results)
+
+
+def _block_shape(t, phi, xi_t, xi_phi):
+    """The shape of a run's block-shaped steps, or None where the run is not in place."""
+    shape = xi_t.shape
+    if not (
+        type(xi_t) is type(xi_phi) is np.ndarray
+        and xi_t.ndim
+        and xi_phi.shape == shape
+        and xi_t.dtype == xi_phi.dtype == np.float64
+    ):
+        return None
+    return shape if np.broadcast_shapes(t.shape, phi.shape, shape) == shape else None
+
+
+def _check(guard, values):
+    """Raise SymbolDomainError where a step's operand is outside its domain."""
+    kind, slot, node = guard
+    if kind == "/" and np.any(np.asarray(values[slot]) == 0.0):
+        raise SymbolDomainError(f"division by zero in '{format_expr(node)}'")
+    if kind == "sqrt" and np.any(np.asarray(values[slot]) < 0.0):
+        raise SymbolDomainError(f"sqrt of negative value in '{format_expr(node)}'")
+    if kind == "profile":
+        raise SymbolDomainError(f"'{node.func}' needs a surface profile in '{format_expr(node)}'")
 
 
 # -- differentiation ----------------------------------------------------------
@@ -533,7 +638,9 @@ class MomentMap:
     one map.
 
     partials gives exact partial derivatives of either slot, differentiated
-    on the AST and compiled once, on first use, for all four variables.
+    on the AST. The partials of one or both slots in a tuple of variables
+    are compiled together, once, on first use, into one program (_program),
+    so a sub-expression they share, such as f(t)^2, is computed once.
     p1_grades reads p1 along rays (_grades): the compiled coefficient of
     each power of r, or None where p1 has no such reading. A p1 homogeneous
     in (xi_t, xi_phi) has one grade, and that coefficient is p1 itself.
@@ -552,15 +659,24 @@ class MomentMap:
         return compile_expr(self.p2_expr, self.surface)
 
     @cached_property
-    def _partials(self):
-        """{slot: {variable: compiled partial, or None where it is 0}}."""
-        out = {}
-        for slot, expr in (("p1", self.p1_expr), ("p2", self.p2_expr)):
-            derivs = {var: _diff(expr, var) for var in VARIABLES}
-            out[slot] = {
-                var: None if _is(d, 0.0) else compile_expr(d, self.surface) for var, d in derivs.items()
-            }
-        return out
+    def _programs(self) -> dict:
+        """{(slots, over): _Program}, each compiled on its first use (_program)."""
+        return {}
+
+    def _program(self, slots: tuple, over: tuple) -> "_Program":
+        """One program for the partials of each slot in slots, in the variables over.
+
+        Its outputs are the partials of slots[0] in over's order, then those
+        of slots[1], and so on; one that is identically zero is None, so it
+        reads 0.0 and is never evaluated.
+        """
+        program = self._programs.get((slots, over))
+        if program is None:
+            exprs = {"p1": self.p1_expr, "p2": self.p2_expr}
+            partials = (_diff(exprs[slot], var) for slot in slots for var in over)
+            outputs = tuple(None if _is(d, 0.0) else d for d in partials)
+            program = self._programs[slots, over] = _Program(outputs, self.surface)
+        return program
 
     @cached_property
     def p1_grades(self) -> Optional[dict]:
@@ -584,12 +700,12 @@ class MomentMap:
     def partials(self, slot: str, t, phi, xi_t, xi_phi, over=VARIABLES):
         """Exact partials of slot ("p1" or "p2") in the variables over, in order.
 
-        Arguments broadcast as for p1 and p2. A partial that is identically
-        zero is 0.0 and is never evaluated. Evaluation raises
+        Arguments broadcast as for p1 and p2, and each call returns fresh
+        arrays. A partial that is identically zero is 0.0 and is never
+        evaluated. Evaluation raises
         SymbolDomainError as compile_expr does, naming the derivative.
         """
-        fns = self._partials[slot]
-        return tuple(0.0 if fns[v] is None else fns[v](t, phi, xi_t, xi_phi) for v in over)
+        return self._program((slot,), tuple(over))(t, phi, xi_t, xi_phi)
 
 
 def builtin_moment_map(profile: ProfileFunction) -> MomentMap:

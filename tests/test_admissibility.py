@@ -1,6 +1,7 @@
 """Energy-shell fibers and the arc admissibility verdict."""
 
 import re
+import types
 
 import numpy as np
 import pytest
@@ -121,6 +122,18 @@ class TestPrincipalType:
             rep = check_admissible(m, arc, EnergyPair(E1, 0.5), grid=(32, 32))
             ok = check_principal_type(m, arc, E1, grid=(32, 32))
             assert ok is rep.principal_type_ok
+
+
+    @pytest.mark.parametrize("grid", [(0, 128), (5, 0), (31, 128)])
+    def test_grid_counts_below_32_are_refused(self, sphere_map, upper_longitude, grid):
+        # the rule of check_admissible, where a count of 0 sampled nothing
+        # and read True, and a fiber count of 0 divided by zero
+        for check in (
+            lambda: check_principal_type(sphere_map, upper_longitude, 1.0, grid=grid),
+            lambda: check_admissible(sphere_map, upper_longitude, EnergyPair(1.0, 0.5), grid=grid),
+        ):
+            with pytest.raises(ValueError, match="grid counts must be at least 32 each"):
+                check()
 
 
 class TestCheckAdmissible:
@@ -534,12 +547,80 @@ def _oracle_cases():
     return cases
 
 
+def _reference_rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe):
+    """Reference for adm._rates: fresh arrays, sum() of products and a where= divide into zeros."""
+    t, phi = t[:, None], phi[:, None]
+    c, sn, s = coframe
+    speed = {v: d for v, d in zip(("t", "phi"), geod.tangent()) if d}
+    if "t" in speed:
+        speed["xi_phi"] = radii * (map_.surface.derivative(t) * (speed["t"] * sn))
+    names = tuple(dict.fromkeys(("xi_t", "xi_phi") + tuple(speed)))
+
+    def along(slot):
+        d = dict(zip(names, map_.partials(slot, t, phi, xi_t, xi_phi, over=names)))
+        return sum(d[v] * speed[v] for v in speed), c * d["xi_t"] + s * d["xi_phi"], d
+
+    with np.errstate(all="ignore"):
+        tau1, r1, d1 = along("p1")
+        tau2, r2, _ = along("p2")
+        ratio = np.divide(tau1, r1, out=np.zeros(xi_t.shape), where=tau1 != 0.0)
+        grad2 = np.broadcast_to(d1["xi_t"] * d1["xi_t"] + d1["xi_phi"] * d1["xi_phi"], xi_t.shape)
+        return tau2 - r2 * ratio, bool(np.all(grad2[np.isfinite(xi_t)] > 1e-12))
+
+
+class TestRates:
+    def test_nonzero_quotient_is_the_where_divide(self):
+        # every IEEE case of a / b against np.divide(a, b, where=a != 0)
+        # into zeros: signed zeros, 0 / 0, 0 / NaN, overflow to inf and
+        # underflow to -0 are 0 where a is 0 and the quotient elsewhere
+        a = np.array([[0.0, -0.0, 1.0, -1.0, 0.0, -0.0, 0.0, 1e-300, -1e300, np.nan, np.inf, 2.0]] * 2)
+        b = np.array([[2.0, 2.0, 0.0, -0.0, 0.0, np.nan, -np.inf, np.inf, 1e-300, 0.0, 1.0, -3.0]] * 2)
+        with np.errstate(all="ignore"):
+            for num in (a, a[:1], 0.5):  # a block, a row and a scalar numerator
+                want = np.divide(num, b, out=np.zeros(b.shape), where=np.not_equal(num, 0.0))
+                out = np.full(b.shape, 7.0)
+                got = adm._nonzero_quotient(num, b, out, np.empty(b.shape, bool), np.empty(b.shape, np.int64))
+                assert got is out and np.array_equal(got.view(np.int64), want.view(np.int64))
+
+    @pytest.mark.parametrize(
+        "case",
+        _oracle_cases()
+        + [
+            # on a latitude arc a p1 that moves with phi has a nonzero
+            # d_tau p1: a block, or a scalar where its phi-derivative is one
+            ("phi-latitude", "perturbed", ("(2 + cos(phi))*(xi_t^2 + xi_phi^2/f(t)^2)", "xi_phi + 0.1*xi_t"),
+             ("latitude", (0.5, 2.0)), 1.0, 0.3, None),
+            ("phi-shift-latitude", "sphere", ("xi_t^2 + xi_phi^2/f(t)^2 + 0.1*phi", "xi_phi"),
+             ("latitude", (0.5, 2.0)), 1.0, 0.3, None),
+        ],
+        ids=lambda c: c[0],
+    )
+    def test_rates_equal_the_reference_bit_for_bit(self, request, monkeypatch, case):
+        # one workspace for every block of the arc, blocks of nine rows and
+        # a last one of seven, against fresh arrays a block
+        _, profile_name, (p1, p2), arc, E1, _, _ = case
+        profile = request.getfixturevalue(profile_name)
+        geod = latitude_arc(profile, arc[1]) if arc[0] == "latitude" else longitude_arc(profile, arc[1], arc[2])
+        m = moment_map_from_config(profile, p1, p2)
+        monkeypatch.setattr(adm, "_BLOCK", 297)
+        taus = np.linspace(*geod.param_range, 61)
+        work = adm._Workspace()
+        for _, t, phi, xi_t, xi_phi, radii, coframe in adm._arc_fibers(m, geod, E1, taus, adm._angles(33), work):
+            rate, ok = adm._rates(m, geod, t, phi, xi_t, xi_phi, radii, coframe, work)
+            ref, ref_ok = _reference_rates(m, geod, t, phi, xi_t, xi_phi, radii, coframe)
+            assert rate.shape == ref.shape and ok is ref_ok
+            assert np.array_equal(rate.view(np.int64), ref.view(np.int64))
+
+
 class TestStreamedVerdict:
-    @pytest.mark.parametrize("block", [adm._BLOCK, 1, 7, 200])
+    @pytest.mark.parametrize("block", [adm._BLOCK, 1, 7, 200, 33, 297])
     @pytest.mark.parametrize("case", _oracle_cases(), ids=lambda c: c[0])
     def test_equals_the_full_array_scan(self, request, monkeypatch, block, case):
         # the verdict streams block by block; it must equal the row-major
-        # argmin over whole arrays, ties and the default band included
+        # argmin over whole arrays, ties and the default band included. At
+        # 33 each row is its own block, and at 297 blocks of nine rows end
+        # in one of seven, so the check's one workspace serves blocks of two
+        # sizes, while the oracle's rates come from a fresh one a block
         _, profile_name, (p1, p2), arc, E1, E2, epsilon = case
         profile = request.getfixturevalue(profile_name)
         if arc[0] == "latitude":
@@ -549,7 +630,8 @@ class TestStreamedVerdict:
         m = moment_map_from_config(profile, p1, p2)
         energies = EnergyPair(E1, E2, epsilon)
         # (600, 40) is one block at the default size; (61, 33) streams in
-        # blocks of one row at sizes 1 and 7, and of six rows at 200
+        # blocks of one row at sizes 1, 7 and 33, of six rows at 200 and of
+        # nine at 297
         grid = (600, 40) if block == adm._BLOCK else (61, 33)
         monkeypatch.setattr(adm, "_BLOCK", block)
         got = check_admissible(m, geod, energies, grid=grid).as_json()
@@ -578,6 +660,35 @@ class TestStreamedVerdict:
         rep = check_admissible(m, arc, EnergyPair(1.0, 2.0), grid=(64, 48))
         assert rep.verdict == "empty-band"
         assert max(sizes) <= 64
+
+    def test_no_block_array_outlives_the_check(self, perturbed):
+        # the workspace belongs to one check: once it returns, nothing the
+        # map holds (its programs included) is an array of a block's size
+        def arrays(obj, seen):
+            if id(obj) in seen:
+                return
+            seen.add(id(obj))
+            if isinstance(obj, np.ndarray):
+                yield obj
+            elif isinstance(obj, dict):
+                for v in obj.values():
+                    yield from arrays(v, seen)
+            elif isinstance(obj, (list, tuple)):
+                for v in obj:
+                    yield from arrays(v, seen)
+            elif isinstance(obj, types.FunctionType):
+                # a compiled symbol: its program sits in the closure
+                yield from arrays([cell.cell_contents for cell in obj.__closure__ or ()], seen)
+            elif hasattr(obj, "__dict__"):
+                yield from arrays(vars(obj), seen)
+
+        arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
+        for symbols in ((None, None), ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_t + 0.1*t")):
+            m = moment_map_from_config(perturbed, *symbols)
+            check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(64, 64))
+            check_principal_type(m, arc, 1.0, grid=(64, 64))
+            assert vars(m)["_programs"]
+            assert max((a.size for a in arrays(vars(m), set())), default=0) < 64
 
     @pytest.mark.parametrize("epsilon", [None, 0.5])
     def test_non_finite_rates_never_win(self, epsilon):

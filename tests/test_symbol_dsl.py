@@ -453,3 +453,74 @@ class TestDerivatives:
         assert d_t == pytest.approx(-2 * xp**2 * fp / f**3, rel=1e-14)
         assert m.partials("p2", t, phi, xt, xp) == (0.0, 0.0, 0.0, 1.0)
         assert m.partials("p1", t, phi, xt, xp, over=("xi_phi",)) == (d_xp,)
+
+
+def _liveness_bound(program):
+    """The most block-shaped values of an in-place run that are alive at once.
+
+    A step's value is alive from its step to the last step that reads it,
+    or to the end for an output; a step that writes into a buffer needs
+    one for as long as its value is alive, and a step reading a value for
+    the last time may write over it.
+    """
+    steps = [(slot, ufunc, args) for slot, _, _, ufunc, args, *_ in program.steps]
+    last = {a: i for i, (_, _, args) in enumerate(steps) for a in args}
+    last.update((slot, len(steps)) for slot in program.results)
+    buffered = [slot for slot, ufunc, _ in steps if program.block[slot] and ufunc is not None]
+    made = {slot: i for i, (slot, _, _) in enumerate(steps)}
+    return max((sum(made[s] <= i < last[s] for s in buffered) for i in range(len(steps))), default=0)
+
+
+class TestProgram:
+    # the builtin rate's partials and a few symbols with shared, constant,
+    # profile and row-only sub-expressions
+    SYMBOLS = [
+        (None, None),
+        ("(1 + t^2)*(xi_t^2 + xi_phi^2/f(t)^2)", "xi_phi*cos(phi) + 0.1*xi_t"),
+        ("(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_t + 0.1*t"),
+        ("sqrt(xi_t^2 + xi_phi^2/f(t)^2) + f(xi_t/4)", "sin(xi_phi)^3 / (2 + cos(xi_t))"),
+    ]
+
+    def test_builtin_partials_compute_f_squared_once(self, perturbed):
+        m = builtin_moment_map(perturbed)
+        program = m._program(("p1", "p2"), ("xi_t", "xi_phi", "t"))
+        nodes = [step[1] for step in program.steps]
+        assert nodes.count(parse_expr("f(t)^2")) == 1
+        assert len(nodes) == len(set(nodes))
+
+    @pytest.mark.parametrize("symbols", SYMBOLS, ids=str)
+    def test_block_buffers_meet_the_liveness_bound(self, perturbed, symbols):
+        m = moment_map_from_config(perturbed, *symbols)
+        for over in (("xi_t", "xi_phi"), ("xi_t", "xi_phi", "t"), VARIABLES):
+            for slots in (("p1",), ("p2",), ("p1", "p2")):
+                program = m._program(slots, over)
+                assert program.nbuf == _liveness_bound(program)
+
+    @pytest.mark.parametrize("symbols", SYMBOLS, ids=str)
+    def test_in_place_runs_equal_fresh_ones_bit_for_bit(self, perturbed, symbols):
+        # xi_phi with an extra leading axis holds the same values, but the
+        # two shapes differ, so that run makes every value as the operator
+        # would, at its own shape
+        rng = np.random.default_rng(5)
+        t, phi = rng.uniform(-0.8, 0.8, (6, 1)), rng.uniform(0.0, 6.0, (6, 1))
+        xi_t, xi_phi = rng.uniform(-2.0, 2.0, (2, 6, 9))
+        program = moment_map_from_config(perturbed, *symbols)._program(("p1", "p2"), VARIABLES)
+        buffers = [np.full((6, 9), np.nan) for _ in range(program.nbuf)]
+        in_place = program(t, phi, xi_t, xi_phi, buffers=buffers)
+        fresh = program(t, phi, xi_t, xi_phi[None])
+        for a, b in zip(in_place, fresh):
+            a, b = (np.broadcast_to(v, (1, 6, 9)) for v in (a, b))
+            assert np.array_equal(a.view(np.int64), b.view(np.int64))
+
+    def test_returned_arrays_are_not_overwritten(self, perturbed):
+        rng = np.random.default_rng(3)
+        t = rng.uniform(-0.8, 0.8, (5, 1))
+        xi = rng.uniform(-2.0, 2.0, (4, 5, 7))
+        fn = compile_expr(parse_expr("xi_t^2 + xi_phi^2 / f(t)^2 + sin(xi_t * xi_phi)"), perturbed)
+        m = builtin_moment_map(perturbed)
+        first, partials = fn(t, 0.0, xi[0], xi[1]), m.partials("p1", t, 0.0, xi[0], xi[1])
+        kept = first.copy(), [np.copy(d) for d in partials]
+        fn(t, 0.0, xi[2], xi[3])
+        m.partials("p1", t, 0.0, xi[2], xi[3])
+        assert np.array_equal(first, kept[0])
+        assert all(np.array_equal(d, k) for d, k in zip(partials, kept[1]))
