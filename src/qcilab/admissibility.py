@@ -11,7 +11,8 @@ is admissible when this infimum clears a positive threshold and p1 is of
 real principal type on the sampled set (nonvanishing xi-gradient). A
 vanishing infimum is exactly what disqualifies latitude arcs through the
 profile maximum, where the angular momentum is frozen along the flow.
-Every derivative is exact, from the symbols' partials (MomentMap.partials).
+Every derivative is exact, from the symbols' partials, differentiated on
+their expressions and compiled as one program (MomentMap._program).
 
 Every fiber is sampled along one family of rays, the metric-coframe
 directions at equally spaced angles sigma:
@@ -19,47 +20,51 @@ directions at equally spaced angles sigma:
     xi_t = r cos(sigma),   xi_phi = r f(t) sin(sigma).
 
 Along each ray p1 is read as a polynomial in r, sum_d a_d(x, w) r^d on
-the unit ray w, each a_d read off the expression (MomentMap.p1_grades),
+the unit ray w, the a_d read off the expression and compiled as one
+program (MomentMap.p1_grades, which refuses any other p1 with ValueError),
 and every root of p1 = E1 on the ray is taken in closed form:
 
 * Where p1 has one grade d > 0, homogeneous of degree d in xi, a_d is
   p1 itself and r = (E1 / p1(x, w))^(1/d) (an ellipse for the builtin
   metric Hamiltonian, d = 2). It depends on the parsed symbol alone, so
   the builtin symbols and their text give one report, bit for bit.
-* Where p1 is a ray polynomial, of grades within 0 ... 4, each ray takes
+* Where p1 is a ray polynomial, of grades 0 and up, each ray takes
   all of its positive roots (_roots): -a_0/a_1, the cancellation-free
   quadratic formula, or companion-matrix eigenvalues. A ray of top degree
   m holds m roots, ascending and padded with NaN, and the root axis is
   folded into the fiber axis, so every later step sees one 2-D block. A
   p1 of grade 0 alone is constant along each ray, so no ray meets its
-  level set in a point. Any other p1 is refused with ValueError.
+  level set in a point.
 
 Every fiber whose level set reaches past _MAX_RADIUS raises FiberError
-(_fibers): a band or threshold read off the sample would be set by that
-cutoff, not by the symbol.
+(_fibers), by one rule for both kinds: a root beyond it, or p1 - E1 at
+that radius not of one strict sign on every ray of the fiber. A band or
+threshold read off the sample would be set by that cutoff, not by the
+symbol.
 
 The verdict is reduced a block at a time (_Band), so no array spans the
 whole arc: as the blocks pass, it keeps the p2 range and the frontier of
 the points that could still win, whatever the band's edge turns out to
 be; the least rate in the band is read from that frontier at the end.
 
-Each check makes one workspace (_Workspace) and every block reuses it:
-the fiber points, the partials of p1 and p2 (one compiled program,
-MomentMap._program), the rate and the band's |p2 - E2|, |rate| and masks
-are written into its arrays with out=, made at the first block's shape,
-and a shorter last block takes views of them. The workspace goes with
-the check; nothing block-sized is kept between checks.
+Each check makes one workspace (_Workspace), passes it to every step and
+every block reuses it: the fiber points, the partials of p1 and p2, the
+rate and the band's |p2 - E2|, |rate| and masks are written into its
+arrays with out=, made at the first block's shape, and a shorter last
+block takes views of them. The workspace goes with the check; nothing
+block-sized is kept between checks.
 """
 
 from __future__ import annotations
 
+import numbers
 from dataclasses import dataclass
 from typing import Optional
 
 import numpy as np
 
 from .geometry import Geodesic
-from .symbol_dsl import MomentMap, format_expr
+from .symbol_dsl import MomentMap
 
 __all__ = [
     "FiberError",
@@ -139,10 +144,12 @@ class _Workspace:
 
     A role's array is made at the first shape asked of it, the first and
     largest block of the arc (_arc_fibers); a shorter last block takes a
-    view of its first rows. A workspace lives no longer than its check.
-    Roles serve steps whose values do not overlap: _rates' temporaries
-    tau, r and term serve _principal_ok before it and _Band.add after it,
-    and a program's buffers (_partials) take the roles 0, 1, ...
+    view of its first rows. A workspace lives no longer than its check,
+    and every step of the check is given it. _fibers' radii, xi_t and
+    xi_phi hold until the block is reduced; other roles serve steps whose
+    values do not overlap: _rates' temporaries tau, r and term serve
+    _principal_ok before it and _Band.add after it, and a program's
+    buffers (_partials) take the roles 0, 1, ...
     """
 
     def __init__(self):
@@ -156,8 +163,16 @@ class _Workspace:
 
 
 def _grid(grid) -> tuple[int, int]:
-    """(n_tau, n_fiber) of a sample grid; each count must be at least 32."""
-    n_tau, n_fiber = int(grid[0]), int(grid[1])
+    """(n_tau, n_fiber) of a sample grid: two integer counts, each at least 32.
+
+    An integer count may be a float with no fraction, as in a config.
+    """
+    counts = tuple(grid)
+    if len(counts) != 2 or not all(
+        isinstance(n, numbers.Integral) or isinstance(n, numbers.Real) and float(n).is_integer() for n in counts
+    ):
+        raise ValueError(f"grid must be two integer counts (n_tau, n_fiber), not {grid!r}")
+    n_tau, n_fiber = (int(n) for n in counts)
     if n_tau < 32 or n_fiber < 32:
         raise ValueError("grid counts must be at least 32 each")
     return n_tau, n_fiber
@@ -167,69 +182,58 @@ def _angles(n: int):
     return 2.0 * np.pi * np.arange(n) / n
 
 
-def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, work: Optional[_Workspace] = None):
+def _fibers(map_: MomentMap, ts, phis, E1: float, sigmas, work: _Workspace):
     """Fibers over the base points (ts[i], phis[i]) along the coframe rays.
 
     Returns (xi_t, xi_phi, radii, coframe), the first three of shape
     (len(ts), m len(sigmas)) with NaN where a ray has no root, and coframe
     the unit rays w = (cos sigma, sin sigma, f(t) sin sigma) of their
-    columns: column j m + k holds root k of ray j. Of one grade d > 0
-    (MomentMap.p1_grades), p1 has m = 1 and the radius (E1 / p1(x, w))^(1/d),
-    from one p1 call a block; a ray misses where that is not a float >= 0.
-    Of grades within 0 ... 4, m is the top grade: the coefficients are
-    evaluated once a block, on the unit rays, and each ray takes its roots
-    (_roots). Any other p1 raises ValueError. Either way the level set
+    columns: column j m + k holds root k of ray j. p1's degrees and the
+    program of its coefficients are MomentMap.p1_grades. Of one grade
+    d > 0, p1 has m = 1 and the radius (E1 / p1(x, w))^(1/d), from one p1
+    call a block; a ray misses where that is not a float >= 0. Otherwise m
+    is the top grade: the coefficients come from one program run a block,
+    on the unit rays, and each ray takes its roots (_roots). The level set
     reaches past _MAX_RADIUS, which raises FiberError, where a ray has a
-    root beyond it or p1 - E1 on that circle changes sign along a row. A
-    row whose rays all miss raises FiberError. Given a workspace, xi_t,
-    xi_phi and radii are its arrays, which the next block overwrites.
+    root beyond it or a row's p1 - E1 at that radius is not of one strict
+    sign. A row whose rays all miss raises FiberError. xi_t, xi_phi and,
+    for one grade, radii are work's arrays, which the next block
+    overwrites.
     """
-    grades = map_.p1_grades
-    if grades is None or not (len(grades) == 1 and min(grades) > 0 or 0 <= min(grades) <= max(grades) <= 4):
-        raise ValueError(
-            "p1 must be homogeneous of a positive degree in (xi_t, xi_phi) or a polynomial of "
-            f"degree at most 4 along each fiber ray; '{format_expr(map_.p1_expr)}' is neither"
-        )
+    degrees, coefficients = map_.p1_grades
     cs, sn = np.cos(sigmas), np.sin(sigmas)
     f = map_.surface.value(ts)[:, None]
     s = f * sn
     shape = (len(ts), len(sigmas))
-    d = max(grades)
-
-    def out(role, shape):
-        """The workspace's array for role, or None for a fresh one."""
-        return None if work is None else work.array(role, shape)
-
-    if len(grades) == 1 and d > 0:
+    d = degrees[-1]
+    if len(degrees) == 1 and d > 0:
         a = np.broadcast_to(map_.p1(ts[:, None], phis[:, None], cs, s), shape)
         # in place: a fresh block-sized array costs more than a pass over it
         with np.errstate(all="ignore"):
-            radii = np.divide(E1, a, out=out("radii", shape))
+            radii = np.divide(E1, a, out=work.array("radii", shape))
             radii **= 1.0 / d  # numpy takes the square root itself at d = 2
             # p1 - E1 at r = _MAX_RADIUS has the sign of a - level (0 if 1e3^d overflows)
-            level = E1 / np.float64(_MAX_RADIUS) ** d
-        crosses = ~((a > level).all(axis=1) | (a < level).all(axis=1))
-        del a  # so that the arrays made below can take its memory
-        radii[~(radii >= 0.0)] = np.nan
+            far, level = a, E1 / np.float64(_MAX_RADIUS) ** d
     else:
         a = np.zeros((d + 1,) + shape)
-        for k, coefficient in grades.items():
-            a[k] = coefficient(ts[:, None], phis[:, None], cs, s)
+        for k, value in zip(degrees, coefficients(ts[:, None], phis[:, None], cs, s)):
+            a[k] = value
         a[0] -= E1
-        a = a.reshape(len(a), -1)
         with np.errstate(all="ignore"):
-            far = np.sign(_horner(a, np.full((a.shape[1], 1), _MAX_RADIUS))).reshape(shape)
-            roots = _roots(a)
-        crosses = np.abs(far.sum(axis=1)) < shape[1]
+            far, level = np.polynomial.polynomial.polyval(_MAX_RADIUS, a), 0.0
+            roots = _roots(a.reshape(len(a), -1))
         radii = roots.reshape(len(ts), -1)
         cs, sn, s = (np.repeat(x, roots.shape[1], axis=-1) for x in (cs, sn, s))
+    crosses = ~((far > level).all(axis=1) | (far < level).all(axis=1))
+    del a, far  # so that the arrays made below can take their memory
+    radii[~(radii >= 0.0)] = np.nan  # a ray misses where its radius is negative or NaN
     if crosses.any() or (radii > _MAX_RADIUS).any():
         raise FiberError(f"unbounded fiber: level set p1 = {E1} reaches radius {_MAX_RADIUS:g}")
     if not np.isfinite(radii).any(axis=1).all():
         raise FiberError(f"empty fiber: level set p1 = {E1} not met along any of {len(sigmas)} rays")
-    xi_phi = np.multiply(radii, f, out=out("xi_phi", radii.shape))
+    xi_phi = np.multiply(radii, f, out=work.array("xi_phi", radii.shape))
     xi_phi *= sn  # radii * f * sn, without a second array
-    return np.multiply(radii, cs, out=out("xi_t", radii.shape)), xi_phi, radii, (cs, sn, s)
+    return np.multiply(radii, cs, out=work.array("xi_t", radii.shape)), xi_phi, radii, (cs, sn, s)
 
 
 def _roots(a):
@@ -292,7 +296,7 @@ def _on_level(a, r):
     """Whether |p| <= _FIBER_TOL max(1, sum_d |a[d] r^d|) for p = sum_d a[d] r^d.
 
     Relative to the size of p's terms, so that rounding loses no large
-    root. p and the size are two Horner sums (_horner) taken in one loop,
+    root. p and the size are two Horner sums taken in one loop,
     along r.T: a row of r holds a column's few candidates, so numpy's
     inner loops run over the columns.
     """
@@ -307,19 +311,11 @@ def _on_level(a, r):
     return (np.abs(p) <= _FIBER_TOL * np.maximum(1.0, size)).T
 
 
-def _horner(a, r):
-    """p at r, for p = sum_d a[d] r^d with a's columns along r's rows."""
-    p = np.zeros(r.shape)
-    for ad in a[::-1]:
-        p = p * r + ad[:, None]
-    return p
-
-
-def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas, work: Optional[_Workspace] = None):
+def _arc_fibers(map_: MomentMap, geod: Geodesic, E1: float, taus, sigmas, work: _Workspace):
     """The fibers over geod(taus), a block of rows at a time.
 
     Yields (rows, t, phi, xi_t, xi_phi, radii, coframe) with rows a slice
-    of taus and the rest as _fibers gives it, in work if given; a block
+    of taus and the rest as _fibers gives it, in work; a block
     holds about _BLOCK rays, which bounds the memory of every step that
     follows.
     """
@@ -386,7 +382,7 @@ def check_principal_type(map_: MomentMap, geod: Geodesic, E1: float, grid=(128, 
     return True
 
 
-def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, coframe, work: Optional[_Workspace] = None):
+def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, coframe, work: _Workspace):
     """(d p2 / d tau at fixed sigma, principal type of p1), one base point a row.
 
     coframe is the block's (cos sigma, sin sigma, f(t) sin sigma) (_fibers).
@@ -396,10 +392,9 @@ def _rates(map_: MomentMap, geod: Geodesic, t, phi, xi_t, xi_phi, radii, coframe
     it is the scalar 0, as on a latitude arc, r' is the scalar 0.
 
     The partials of p1 and p2 come from one program, and every block-sized
-    value is written into work's arrays (a new workspace if None), the
-    rate too, which the next block there overwrites.
+    value is written into work's arrays, the rate too, which the next block
+    there overwrites.
     """
-    work = _Workspace() if work is None else work
     shape = xi_t.shape
     t, phi = t[:, None], phi[:, None]
     c, sn, s = coframe
@@ -458,17 +453,18 @@ class _Band:
     winner is the last held column in the band.
 
     By default epsilon is 5% of the p2 range, known only at the end; the
-    range so far gives a lower bound eps_lo that only grows. A point below
-    it is surely in the band, so of a block's points below eps_lo only the
-    least can win, and of those at or beyond it only the ones that beat
-    that point. With epsilon given, no point beyond it is in the band.
+    range so far gives a lower bound eps_lo that only grows. Given, epsilon
+    is its own eps_lo. A point below eps_lo is surely in the band, so of a
+    block's points below it only the least can win, and of those at or
+    beyond it only the ones that beat that point; finish drops the ones
+    that end beyond epsilon.
     """
 
-    def __init__(self, E2: float, epsilon: Optional[float], work: Optional[_Workspace] = None):
+    def __init__(self, E2: float, epsilon: Optional[float], work: _Workspace):
         self.E2, self.epsilon = E2, epsilon
         self.lo, self.hi = np.inf, -np.inf
         self.held = np.empty((7, 0))
-        self.work = _Workspace() if work is None else work
+        self.work = work
 
     def eps(self) -> float:
         """epsilon, or its lower bound eps_lo while blocks still come."""
@@ -497,16 +493,13 @@ class _Band:
         np.copyto(inside, a, where=mask)
         k = int(np.argmin(inside))
         least = inside[k]
-        if self.epsilon is None:
-            beyond = np.greater_equal(d, eps, out=mask)
-            # a tie in |rate| beats the least inside only ahead of it
-            pick = np.less(a, least, out=pick)
-            pick &= beyond
-            tie = np.equal(a[:k], least, out=tie[:k])
-            tie &= beyond[:k]
-            pick[:k] |= tie
-        else:
-            pick.fill(False)
+        beyond = np.greater_equal(d, eps, out=mask)
+        # a tie in |rate| beats the least inside only ahead of it
+        pick = np.less(a, least, out=pick)
+        pick &= beyond
+        tie = np.equal(a[:k], least, out=tie[:k])
+        tie &= beyond[:k]
+        pick[:k] |= tie
         pick[k] |= least < np.inf
         i = np.flatnonzero(pick)
         d_i, a_i = d[i], a[i]
@@ -591,9 +584,8 @@ def check_admissible(
         When the level set p1 = E1 misses every ray of some fiber, or
         reaches past radius 1e3.
     ValueError
-        When p1 is neither homogeneous of a degree d > 0 in xi nor a
-        polynomial of degree at most 4 along the rays, before any fiber
-        is sampled.
+        When p1 has no reading along the rays that MomentMap.p1_grades
+        supports, before any fiber is sampled.
     """
     n_tau, n_fiber = _grid(grid)
     if threshold is not None and not threshold > 0.0:
@@ -606,7 +598,6 @@ def check_admissible(
 
     # one pass along the arc, every block in one workspace; the band keeps
     # only the points that may still win
-    t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
     work = _Workspace()
     band = _Band(energies.E2, energies.epsilon, work)
     principal_ok = True
@@ -617,7 +608,6 @@ def check_admissible(
         # m root columns a ray, so a row is m n_fiber points wide
         width = xi_t.shape[1]
         band.add(rows.start * width, p2, deriv, xi_t, xi_phi)
-        t_m[rows], phi_m[rows] = t, phi
 
     eps, scale, best = band.finish()
     thr = float(threshold) if threshold is not None else 1e-3 * (scale if scale > 0.0 else 1.0)
@@ -625,11 +615,12 @@ def check_admissible(
     if best is not None:
         i, col = divmod(int(best[_FLAT, 0]), width)
         min_der = float(best[_RATE, 0])
+        t, phi = geod.point(taus[i], checked=False)
         witness = {
             "tau": float(taus[i]),
             "sigma": float(sigmas[col // (width // n_fiber)]),
-            "t": float(t_m[i]),
-            "phi": float(phi_m[i]),
+            "t": float(t),
+            "phi": float(phi),
             "xi_t": float(best[_XT, 0]),
             "xi_phi": float(best[_XP, 0]),
             "p2": float(best[_P2, 0]),

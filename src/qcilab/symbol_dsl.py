@@ -631,19 +631,18 @@ def _convolve(a: dict, b: dict) -> dict:
 class MomentMap:
     """Pair of commuting classical symbols p1, p2 on T*M.
 
-    Each slot is a DSL expression, compiled once (compile_expr) on its
-    first evaluation. The slots default to BUILTIN_P1_TEXT, the metric
-    Hamiltonian p1 = xi_t^2 + xi_phi^2 / f(t)^2, and BUILTIN_P2_TEXT, the
-    angular momentum p2 = xi_phi, so the builtin symbols and their text are
-    one map.
+    Each slot is a DSL expression, compiled once into a program (_Program)
+    on its first evaluation. The slots default to BUILTIN_P1_TEXT, the
+    metric Hamiltonian p1 = xi_t^2 + xi_phi^2 / f(t)^2, and BUILTIN_P2_TEXT,
+    the angular momentum p2 = xi_phi, so the builtin symbols and their text
+    are one map.
 
-    partials gives exact partial derivatives of either slot, differentiated
-    on the AST. The partials of one or both slots in a tuple of variables
-    are compiled together, once, on first use, into one program (_program),
-    so a sub-expression they share, such as f(t)^2, is computed once.
-    p1_grades reads p1 along rays (_grades): the compiled coefficient of
-    each power of r, or None where p1 has no such reading. A p1 homogeneous
-    in (xi_t, xi_phi) has one grade, and that coefficient is p1 itself.
+    The exact partials of one or both slots in a tuple of variables are
+    differentiated on the AST and compiled together, once, on first use,
+    into one program (_program), so a sub-expression they share, such as
+    f(t)^2, is computed once. p1_grades reads p1 along rays (_grades): its
+    degrees and one program for the coefficient of each power of r. A p1
+    homogeneous in (xi_t, xi_phi) has one grade, and that program is p1's.
     """
 
     surface: ProfileFunction
@@ -651,12 +650,12 @@ class MomentMap:
     p2_expr: Expr = parse_expr(BUILTIN_P2_TEXT)
 
     @cached_property
-    def _p1(self):
-        return compile_expr(self.p1_expr, self.surface)
+    def _p1(self) -> _Program:
+        return _Program((self.p1_expr,), self.surface)
 
     @cached_property
-    def _p2(self):
-        return compile_expr(self.p2_expr, self.surface)
+    def _p2(self) -> _Program:
+        return _Program((self.p2_expr,), self.surface)
 
     @cached_property
     def _programs(self) -> dict:
@@ -679,33 +678,31 @@ class MomentMap:
         return program
 
     @cached_property
-    def p1_grades(self) -> Optional[dict]:
-        """{d: a_d} with p1(t, phi, r xi) = sum_d r^d a_d(t, phi, xi), or None.
+    def p1_grades(self) -> tuple:
+        """(degrees, program): p1(t, phi, r xi) = sum_k r^degrees[k] a_k(t, phi, xi).
 
-        A homogeneous p1, of one grade d, maps to {d: compiled p1} and
-        compiles nothing more; every other a_d is compiled here. The bound
-        method self.p1 in its place would make each map a reference cycle.
+        degrees ascend, and program's outputs are the a_k in their order; a
+        homogeneous p1, of one grade, is its own coefficient and program
+        (_p1). Only two readings are supported: one grade d > 0, or grades
+        within 0 ... _MAX_SPAN. Any other p1, or one with no grades, raises
+        ValueError.
         """
-        grades = _grades(self.p1_expr)
-        if grades is None:
-            return None
-        return {d: self._p1 if len(grades) == 1 else compile_expr(a, self.surface) for d, a in grades.items()}
+        grades = _grades(self.p1_expr) or {}
+        degrees = tuple(sorted(grades))
+        if not (len(degrees) == 1 and degrees[0] > 0 or degrees and 0 <= degrees[0] and degrees[-1] <= _MAX_SPAN):
+            raise ValueError(
+                "p1 must be homogeneous of a positive degree in (xi_t, xi_phi) or a polynomial of "
+                f"degree at most {_MAX_SPAN} along each fiber ray; '{format_expr(self.p1_expr)}' is neither"
+            )
+        if len(degrees) == 1:
+            return degrees, self._p1
+        return degrees, _Program(tuple(grades[d] for d in degrees), self.surface)
 
     def p1(self, t, phi, xi_t, xi_phi):
-        return self._p1(t, phi, xi_t, xi_phi)
+        return self._p1(t, phi, xi_t, xi_phi)[0]
 
     def p2(self, t, phi, xi_t, xi_phi):
-        return self._p2(t, phi, xi_t, xi_phi)
-
-    def partials(self, slot: str, t, phi, xi_t, xi_phi, over=VARIABLES):
-        """Exact partials of slot ("p1" or "p2") in the variables over, in order.
-
-        Arguments broadcast as for p1 and p2, and each call returns fresh
-        arrays. A partial that is identically zero is 0.0 and is never
-        evaluated. Evaluation raises
-        SymbolDomainError as compile_expr does, naming the derivative.
-        """
-        return self._program((slot,), tuple(over))(t, phi, xi_t, xi_phi)
+        return self._p2(t, phi, xi_t, xi_phi)[0]
 
 
 def builtin_moment_map(profile: ProfileFunction) -> MomentMap:

@@ -24,7 +24,7 @@ from qcilab import admissibility as adm
 
 def fiber_points(map_, x, E1, n):
     """The finite points of the fiber over x = (t, phi) at n coframe angles."""
-    xi_t, xi_phi, *_ = adm._fibers(map_, np.array([x[0]]), np.array([x[1]]), E1, adm._angles(n))
+    xi_t, xi_phi, *_ = adm._fibers(map_, np.array([x[0]]), np.array([x[1]]), E1, adm._angles(n), adm._Workspace())
     keep = np.isfinite(xi_t[0])
     return list(zip(xi_t[0][keep].tolist(), xi_phi[0][keep].tolist()))
 
@@ -60,7 +60,7 @@ class TestFiberPoints:
         # a r^2 + b r with a = cos^2 + 2 sin^2 and b = 0.1 sin(t) cos, whose
         # one positive root at level 1 is r = (sqrt(b^2 + 4a) - b) / 2a
         parsed = moment_map_from_config(sphere, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", None)
-        assert sorted(parsed.p1_grades) == [1, 2]
+        assert parsed.p1_grades[0] == (1, 2)
         pts = fiber_points(parsed, (0.4, 0.0), 1.0, 16)
         assert len(pts) == 16
         f = sphere.value(0.4)
@@ -134,6 +134,24 @@ class TestPrincipalType:
         ):
             with pytest.raises(ValueError, match="grid counts must be at least 32 each"):
                 check()
+
+    @pytest.mark.parametrize("grid", [(64.9, 64), (64,), (64, 64, 3)])
+    def test_grids_that_are_not_two_integer_counts_are_refused(self, sphere_map, upper_longitude, grid):
+        # config.schema.json's rule: exactly two integer counts; a fraction
+        # was truncated, a missing count an IndexError, a third ignored
+        for check in (
+            lambda: check_principal_type(sphere_map, upper_longitude, 1.0, grid=grid),
+            lambda: check_admissible(sphere_map, upper_longitude, EnergyPair(1.0, 0.5), grid=grid),
+        ):
+            with pytest.raises(ValueError, match=re.escape(f"grid must be two integer counts (n_tau, n_fiber), not {grid!r}")):
+                check()
+
+    def test_integer_valued_floats_are_counts(self, sphere_map, upper_longitude):
+        # as in the schema, 64.0 is the integer 64
+        energies = EnergyPair(1.0, 0.5)
+        rep = check_admissible(sphere_map, upper_longitude, energies, grid=(64.0, np.int64(64)))
+        assert rep.as_json() == check_admissible(sphere_map, upper_longitude, energies, grid=(64, 64)).as_json()
+        assert rep.grid == (64, 64) and type(rep.grid[0]) is int
 
 
 class TestCheckAdmissible:
@@ -289,8 +307,8 @@ class TestCheckAdmissible:
         for block in (adm._BLOCK, 1):
             monkeypatch.setattr(adm, "_BLOCK", block)
             reports.append(check_admissible(m, arc, EnergyPair(0.0, 0.5), grid=(48, 48)).as_json())
-            blocks = adm._arc_fibers(m, arc, 0.0, taus, adm._angles(48))
-            radii.append(np.concatenate([r for *_, r, _ in blocks]))
+            blocks = adm._arc_fibers(m, arc, 0.0, taus, adm._angles(48), adm._Workspace())
+            radii.append(np.concatenate([r.copy() for *_, r, _ in blocks]))
         assert reports[0] == reports[1] and reports[0]["principal_type_ok"]
         np.testing.assert_array_equal(radii[0], radii[1])
         # four columns a ray, for the quartic's four roots; two are negative
@@ -320,9 +338,10 @@ class TestCheckAdmissible:
         assert outcome(plain) == outcome(with_xi)
 
     def test_dsl_fibers_are_solved_a_block_at_a_time(self, perturbed, monkeypatch):
-        # a ray polynomial's fibers come from its coefficients alone: each
-        # is evaluated once a block, on every ray of the block, and p1 never
-        sizes, p1_calls = {}, []
+        # a ray polynomial's fibers come from its coefficients alone: one
+        # program gives all of them, run once a block on every ray of the
+        # block, and p1 is never called
+        sizes, p1_calls = [], []
 
         class Counting(MomentMap):
             def p1(self, *args):
@@ -331,18 +350,18 @@ class TestCheckAdmissible:
 
         parsed = moment_map_from_config(perturbed, "xi_t^2 + 2*xi_phi^2/f(t)^2 + 0.1*sin(t)*xi_t", "xi_phi")
         m = Counting(surface=perturbed, p1_expr=parsed.p1_expr, p2_expr=parsed.p2_expr)
-        grades = m.p1_grades
-        assert sorted(grades) == [1, 2]
-        for d, coefficient in list(grades.items()):
-            def counted(t, phi, xi_t, xi_phi, d=d, coefficient=coefficient):
-                sizes.setdefault(d, []).append(np.broadcast(t, xi_t, xi_phi).size)
-                return coefficient(t, phi, xi_t, xi_phi)
+        degrees, program = m.p1_grades
+        assert degrees == (1, 2) and len(program.outputs) == 2
 
-            grades[d] = counted
+        def counted(t, phi, xi_t, xi_phi):
+            sizes.append(np.broadcast(t, xi_t, xi_phi).size)
+            return program(t, phi, xi_t, xi_phi)
+
+        vars(m)["p1_grades"] = (degrees, counted)
         monkeypatch.setattr(adm, "_BLOCK", 16 * 128)
         arc = longitude_arc(perturbed, (0.3, 0.8), 1.0)
         check_admissible(m, arc, EnergyPair(1.0, 0.5), grid=(128, 128))
-        assert sizes == {1: [16 * 128] * 8, 2: [16 * 128] * 8}
+        assert sizes == [16 * 128] * 8
         assert not p1_calls
 
     def test_homogeneous_symbol_takes_one_p1_call_a_block(self, perturbed):
@@ -376,6 +395,23 @@ class TestCheckAdmissible:
             w = check_admissible(m, arc, EnergyPair(E1, E2), grid=(96, 96)).witness
             exact = np.sqrt(E1) * profile.derivative(w["t"]) * np.sin(w["sigma"])
             assert w["derivative"] == pytest.approx(exact, rel=1e-10)
+
+    @pytest.mark.parametrize(
+        "arc_kind, p2", [("latitude", "xi_t + (phi - 1)^2"), ("longitude", "xi_t + (t - 0.5)^2")]
+    )
+    def test_witness_base_point_is_the_arc_at_its_tau(self, perturbed, arc_kind, p2):
+        # the witness's t and phi are geod.point at its tau, bit for bit; p2
+        # puts the witness inside the arc, so phi on the latitude is a
+        # quotient of tau
+        if arc_kind == "latitude":
+            arc = latitude_arc(perturbed, (0.5, 2.0))
+        else:
+            arc = longitude_arc(perturbed, (0.3, 0.7), 0.4)
+        m = moment_map_from_config(perturbed, None, p2)
+        w = check_admissible(m, arc, EnergyPair(1.0, 0.3), grid=(61, 48)).witness
+        assert arc.param_range[0] < w["tau"] < arc.param_range[1]
+        t, phi = arc.point(w["tau"])
+        assert (w["t"], w["phi"]) == (float(t), float(phi))
 
     def test_rate_follows_a_radius_that_moves_along_the_arc(self, perturbed):
         # p1 = g(t) |xi|^2 with g = 1 + t^2 puts the fiber at radius
@@ -443,8 +479,13 @@ def _full_scan_report(map_, geod, energies, grid, threshold=None):
     t_m, phi_m = np.empty(n_tau), np.empty(n_tau)
     xt, xp, p2_mid, deriv = [], [], [], []
     principal_ok = True
-    for rows, t, phi, xi_t, xi_phi, radii, coframe in adm._arc_fibers(map_, geod, energies.E1, taus, sigmas):
-        rate, ok = adm._rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe)
+    for rows, t, phi, xi_t, xi_phi, radii, coframe in adm._arc_fibers(
+        map_, geod, energies.E1, taus, sigmas, adm._Workspace()
+    ):
+        # copies, which the next block does not overwrite, and a fresh
+        # workspace for the rates of each block
+        xi_t, xi_phi = xi_t.copy(), xi_phi.copy()
+        rate, ok = adm._rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe, adm._Workspace())
         principal_ok = principal_ok and ok
         deriv.append(rate)
         p2_mid.append(np.broadcast_to(map_.p2(t[:, None], phi[:, None], xi_t, xi_phi), xi_t.shape))
@@ -557,7 +598,7 @@ def _reference_rates(map_, geod, t, phi, xi_t, xi_phi, radii, coframe):
     names = tuple(dict.fromkeys(("xi_t", "xi_phi") + tuple(speed)))
 
     def along(slot):
-        d = dict(zip(names, map_.partials(slot, t, phi, xi_t, xi_phi, over=names)))
+        d = dict(zip(names, map_._program((slot,), names)(t, phi, xi_t, xi_phi)))
         return sum(d[v] * speed[v] for v in speed), c * d["xi_t"] + s * d["xi_phi"], d
 
     with np.errstate(all="ignore"):
@@ -694,7 +735,7 @@ class TestStreamedVerdict:
     def test_non_finite_rates_never_win(self, epsilon):
         # as in the full scan, a point of the band whose rate is NaN or
         # infinite is skipped, wherever it sits in the block
-        band = adm._Band(0.0, epsilon)
+        band = adm._Band(0.0, epsilon, adm._Workspace())
         p2 = np.array([[0.0, 0.01, 0.02, 1.0]])
         band.add(0, p2, np.array([[np.nan, -np.inf, -3.0, 2.0]]), p2, p2)
         _, _, best = band.finish()
@@ -705,7 +746,8 @@ class TestStreamedVerdict:
         arc = longitude_arc(perturbed, (-0.2, 0.4), 1.3)
         miss = moment_map_from_config(perturbed, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", "xi_phi")
         taus = np.linspace(*arc.param_range, 33)
-        radii = np.concatenate([r for *_, r, _ in adm._arc_fibers(miss, arc, 1.0, taus, adm._angles(32))])
+        blocks = adm._arc_fibers(miss, arc, 1.0, taus, adm._angles(32), adm._Workspace())
+        radii = np.concatenate([r.copy() for *_, r, _ in blocks])
         assert np.isnan(radii).any()
         empty = check_admissible(miss, arc, EnergyPair(1.0, 9.0), grid=(33, 32))
         assert empty.verdict == "empty-band"
@@ -773,13 +815,12 @@ def _np_roots(map_, t, phi, E1, sigmas):
     least member.
     """
     f = map_.surface.value(t)
+    degrees, program = map_.p1_grades
     out = []
     for sigma in sigmas:
         c, s = np.cos(sigma), f * np.sin(sigma)
-        grades = {d: float(a(t, phi, c, s)) for d, a in map_.p1_grades.items()}
-        coefs = np.zeros(max(grades) + 1)
-        for d, a in grades.items():
-            coefs[d] = a
+        coefs = np.zeros(degrees[-1] + 1)
+        coefs[list(degrees)] = program(t, phi, c, s)
         coefs[0] -= E1
         while abs(coefs[-1]) < 1e-30 * np.abs(coefs).max():
             coefs = coefs[:-1]
@@ -849,11 +890,12 @@ class TestRayRoots:
         sigmas = adm._angles(24)
         if p1_text in _UNBOUNDED:
             with pytest.raises(FiberError, match="unbounded fiber"):
-                adm._fibers(m, ts, phis, E1, sigmas)
+                adm._fibers(m, ts, phis, E1, sigmas, adm._Workspace())
             c, s = np.cos(sigmas), perturbed.value(ts)[:, None] * np.sin(sigmas)
-            a = np.zeros((max(m.p1_grades) + 1, len(ts), len(sigmas)))
-            for d, coefficient in m.p1_grades.items():
-                a[d] = coefficient(ts[:, None], phis[:, None], c, s)
+            degrees, program = m.p1_grades
+            a = np.zeros((degrees[-1] + 1, len(ts), len(sigmas)))
+            for d, coefficient in zip(degrees, program(ts[:, None], phis[:, None], c, s)):
+                a[d] = coefficient
             a[0] -= E1
             with np.errstate(all="ignore"):
                 radii = adm._roots(a.reshape(len(a), -1))
@@ -861,7 +903,7 @@ class TestRayRoots:
             radii[radii > 1e3] = np.nan
             radii.sort(axis=1)
         else:
-            _, _, radii, _ = adm._fibers(m, ts, phis, E1, sigmas)
+            _, _, radii, _ = adm._fibers(m, ts, phis, E1, sigmas, adm._Workspace())
         radii = radii.reshape(len(ts), len(sigmas), -1)
         for i, (t, phi) in enumerate(zip(ts, phis)):
             for j, expect in enumerate(_np_roots(m, t, phi, E1, sigmas)):

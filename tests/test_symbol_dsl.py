@@ -225,6 +225,21 @@ class TestPrinter:
         assert parse_expr(format_expr(b)) == b
 
 
+def _record_programs(monkeypatch):
+    """A list that gets the outputs of every program compiled from now on."""
+    import qcilab.symbol_dsl as dsl
+
+    compiled = []
+
+    class Recording(dsl._Program):
+        def __init__(self, outputs, profile):
+            compiled.append(outputs)
+            super().__init__(outputs, profile)
+
+    monkeypatch.setattr(dsl, "_Program", Recording)
+    return compiled
+
+
 class TestMomentMap:
     def test_builtin_values(self, sphere_map):
         # kinetic form at a hand-checked phase point on the sphere
@@ -236,24 +251,16 @@ class TestMomentMap:
         # the builtin slots are the parsed builtin text
         assert sphere_map.p1_expr == parse_expr(BUILTIN_P1_TEXT)
         assert sphere_map.p2_expr == parse_expr(BUILTIN_P2_TEXT)
-        assert sphere_map.p1_grades == {2: sphere_map._p1}
+        degrees, program = sphere_map.p1_grades
+        assert degrees == (2,) and program is sphere_map._p1
 
     def test_symbols_are_compiled_once(self, sphere, monkeypatch):
-        import qcilab.symbol_dsl as dsl
-
-        compiled = []
-
-        def counting(node, profile):
-            compiled.append(node)
-            return real(node, profile)
-
-        real = dsl.compile_expr
-        monkeypatch.setattr(dsl, "compile_expr", counting)
+        compiled = _record_programs(monkeypatch)
         m = moment_map_from_config(sphere, BUILTIN_P1_TEXT, "2 * xi_phi")
         for xi_t in (0.5, np.linspace(0.0, 1.0, 5)):
             assert m.p1(0.6, 0.0, xi_t, 0.8) == pytest.approx(1.0 + xi_t**2, rel=1e-14)
             assert m.p2(0.6, 0.0, xi_t, 0.8) == 1.6
-        assert compiled == [m.p1_expr, m.p2_expr]
+        assert compiled == [(m.p1_expr,), (m.p2_expr,)]
 
     def test_parsed_builtin_text_matches_builtin(self, sphere, sphere_map):
         parsed = moment_map_from_config(sphere, BUILTIN_P1_TEXT, BUILTIN_P2_TEXT)
@@ -361,17 +368,34 @@ class TestGrades:
 
         m = moment_map_from_config(sphere, None, None)
         m.p1(0.5, 0.0, 1.0, 0.0)
-        monkeypatch.setattr(dsl, "compile_expr", lambda *args: pytest.fail("compiled a grade"))
-        assert m.p1_grades == {2: m._p1}
+        monkeypatch.setattr(dsl, "_Program", lambda *args: pytest.fail("compiled a grade"))
+        degrees, program = m.p1_grades
+        assert degrees == (2,) and program is m._p1
         monkeypatch.undo()
         # no reference cycle: the map is freed without the garbage collector
         ref = weakref.ref(m)
         del m
         assert ref() is None
-        assert moment_map_from_config(sphere, "sin(xi_t)", None).p1_grades is None
+
+    def test_a_ray_polynomial_is_one_program(self, sphere, monkeypatch):
+        compiled = _record_programs(monkeypatch)
         m = moment_map_from_config(sphere, "(xi_t - 2)^2 + xi_phi^2/f(t)^2", None)
-        assert sorted(m.p1_grades) == [0, 1, 2]
-        assert m.p1_grades[0](t=0.5) == 4.0
+        degrees, program = m.p1_grades
+        assert m.p1_grades[1] is program and compiled == [program.outputs]
+        # (xi_t - 2)^2 + xi_phi^2/f^2 along a unit ray (c, s): 4 - 4 c r + r^2
+        assert degrees == (0, 1, 2)
+        c, s = 0.6, 0.8 * sphere.value(0.5)
+        assert program(0.5, 0.0, c, s) == (4.0, pytest.approx(-4.0 * c), pytest.approx(1.0))
+
+    @pytest.mark.parametrize("text", ["sin(xi_t)", "xi_t^5 + xi_t", "xi_t + 1 / xi_phi"])
+    def test_unsupported_p1_is_refused(self, sphere, text):
+        m = moment_map_from_config(sphere, text, None)
+        with pytest.raises(ValueError) as exc:
+            m.p1_grades
+        assert str(exc.value) == (
+            "p1 must be homogeneous of a positive degree in (xi_t, xi_phi) or a polynomial of "
+            f"degree at most 4 along each fiber ray; '{text}' is neither"
+        )
 
 
 class TestDerivatives:
@@ -440,19 +464,19 @@ class TestDerivatives:
         m = moment_map_from_config(sphere, "xi_t^2 + sqrt(xi_phi^2)", None)
         assert m.p1(0.3, 0.0, 1.0, 0.0) == 1.0
         with pytest.raises(SymbolDomainError) as exc:
-            m.partials("p1", 0.3, 0.0, 1.0, 0.0)
+            m._program(("p1",), VARIABLES)(0.3, 0.0, 1.0, 0.0)
         assert str(exc.value) == "division by zero in '2 * xi_phi / (2 * sqrt(xi_phi^2))'"
 
     def test_builtin_partials_are_the_closed_forms(self, perturbed):
         m = builtin_moment_map(perturbed)
         t, phi, xt, xp = 0.4, 1.0, 0.7, -0.3
         f, fp = perturbed.value(t), perturbed.derivative(t)
-        d_t, d_phi, d_xt, d_xp = m.partials("p1", t, phi, xt, xp)
+        d_t, d_phi, d_xt, d_xp = m._program(("p1",), VARIABLES)(t, phi, xt, xp)
         assert d_phi == 0.0 and d_xt == 2 * xt
         assert d_xp == pytest.approx(2 * xp / f**2, rel=1e-15)
         assert d_t == pytest.approx(-2 * xp**2 * fp / f**3, rel=1e-14)
-        assert m.partials("p2", t, phi, xt, xp) == (0.0, 0.0, 0.0, 1.0)
-        assert m.partials("p1", t, phi, xt, xp, over=("xi_phi",)) == (d_xp,)
+        assert m._program(("p2",), VARIABLES)(t, phi, xt, xp) == (0.0, 0.0, 0.0, 1.0)
+        assert m._program(("p1",), ("xi_phi",))(t, phi, xt, xp) == (d_xp,)
 
 
 def _liveness_bound(program):
@@ -518,9 +542,10 @@ class TestProgram:
         xi = rng.uniform(-2.0, 2.0, (4, 5, 7))
         fn = compile_expr(parse_expr("xi_t^2 + xi_phi^2 / f(t)^2 + sin(xi_t * xi_phi)"), perturbed)
         m = builtin_moment_map(perturbed)
-        first, partials = fn(t, 0.0, xi[0], xi[1]), m.partials("p1", t, 0.0, xi[0], xi[1])
+        program = m._program(("p1",), VARIABLES)
+        first, partials = fn(t, 0.0, xi[0], xi[1]), program(t, 0.0, xi[0], xi[1])
         kept = first.copy(), [np.copy(d) for d in partials]
         fn(t, 0.0, xi[2], xi[3])
-        m.partials("p1", t, 0.0, xi[2], xi[3])
+        program(t, 0.0, xi[2], xi[3])
         assert np.array_equal(first, kept[0])
         assert all(np.array_equal(d, k) for d, k in zip(partials, kept[1]))
